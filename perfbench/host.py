@@ -17,16 +17,13 @@ guard.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import resource
+import sys
 import time
-
-_PROCESS_START = time.perf_counter()
-
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import os  # noqa: E402
-import resource  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+from pathlib import Path
 
 #: Environment the program must not see: each would change which layers
 #: a workload exercises (full-horizon runs, or a cache off or elsewhere).
@@ -102,7 +99,6 @@ def main(inputs_path: str, result_path: str) -> int:
     workers = inputs["workers"]
     for index, spec in enumerate(inputs["warmup"]):
         run_sweep(spec, workers, work / f"warmup-{index}", cache)
-    ready = time.perf_counter()
     print("ready", flush=True)
     if inputs.get("setup_only"):
         return 0
@@ -114,7 +110,6 @@ def main(inputs_path: str, result_path: str) -> int:
         if recorder is not None:
             recorder.context = f"sweep-{index}"
         sweeps.append(run_sweep(spec, workers, work / f"sweep-{index}", cache))
-    phase_end = time.perf_counter()
     if recorder is not None:
         recorder.context = None
         recorder.flush()
@@ -122,9 +117,6 @@ def main(inputs_path: str, result_path: str) -> int:
     self_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     child_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     result = {
-        "setup_in_process_s": ready - _PROCESS_START,
-        "phase_start": sweeps[0]["started"] if sweeps else ready,
-        "phase_end": phase_end,
         "sweeps": sweeps,
         # Runner peak plus one peak per pool worker slot (the largest
         # reaped worker stands for each slot; 0 when nothing forked).

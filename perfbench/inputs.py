@@ -18,7 +18,7 @@ import random
 
 #: Nominal wall seconds of one unit of work per workload (one Table 4
 #: sweep, one matrix sweep, one serve job cycle), used only to size runs.
-NOMINAL_UNIT_S = {"table4": 1.1, "matrix": 3.0, "serve": 2.8}
+NOMINAL_UNIT_S = {"table4": 1.1, "matrix": 3.0, "serve": 2.9}
 #: Fewest units a run may have: enough sweeps for a median, and enough
 #: serve cycles for ten jobs beyond p90.
 MIN_UNITS = {"table4": 5, "matrix": 5, "serve": 10}
@@ -27,9 +27,9 @@ TABLE4_RUNS = 40
 #: Master seed of the ``table4`` corpus (sweep i has ``+ 64 * (i + 1)``).
 TABLE4_CORPUS = 4096 * 1000
 MATRIX_COHORT = 4          # replicas == cohort size: one cohort per cell
-SERVE_PROBE_REPLICAS = 4
-#: Every probe matrix has this shape (3 scenarios x 3 modes x 4
-#: replicas = 36 tasks, planned under the warm-pool threshold so it
+SERVE_PROBE_REPLICAS = 2
+#: Every probe matrix has this shape (3 scenarios x 3 modes x 2
+#: replicas = 18 tasks, planned under the warm-pool threshold so it
 #: runs inline); only its master seed changes. A fixed shape keeps the
 #: probe class one latency band, so the job p50 inside it does not move
 #: with which scenarios a seed happens to draw. The data-delivery runs
@@ -47,6 +47,10 @@ PROBE_SCENARIOS = ("cp_plmn_config", "dp_transient", "dd_gateway_stale")
 #: grown), so p50 lands mid-probe, 30 ranks from either class
 #: boundary, and p90 mid-sweep.
 SERVE_CYCLE = ("S", "P", "P", "R1", "S", "P", "R5", "P", "P", "P")
+#: A resubmit's shard size. The planner's default is 4, so a resubmit
+#: has another plan fingerprint than its original: a fresh run
+#: directory, and every task comes from the cache.
+RESUBMIT_SHARD_SIZE = 5
 
 
 def units(workload: str, seconds: float) -> int:
@@ -58,19 +62,18 @@ def _rng(workload: str, seed: int) -> random.Random:
     return random.Random(f"perfbench:{workload}:{seed}")
 
 
-def table4_spec(seed: int, runs: int = TABLE4_RUNS, shard_size: int = 4) -> dict:
-    return {"kind": "suite", "suite": "table4", "runs": runs, "seed": seed,
-            "shard_size": shard_size}
+def table4_spec(seed: int, runs: int = TABLE4_RUNS) -> dict:
+    return {"kind": "suite", "suite": "table4", "runs": runs, "seed": seed}
 
 
-def matrix_spec(seed: int, cohort: int = MATRIX_COHORT) -> dict:
-    return {"kind": "matrix", "replicas": cohort, "cohort_size": cohort,
-            "seed": seed}
+def matrix_spec(seed: int) -> dict:
+    return {"kind": "matrix", "replicas": MATRIX_COHORT,
+            "cohort_size": MATRIX_COHORT, "seed": seed}
 
 
-def probe_spec(seed: int, replicas: int = SERVE_PROBE_REPLICAS) -> dict:
+def probe_spec(seed: int) -> dict:
     return {"kind": "matrix", "scenarios": list(PROBE_SCENARIOS),
-            "replicas": replicas, "seed": seed}
+            "replicas": SERVE_PROBE_REPLICAS, "seed": seed}
 
 
 def fleet_inputs(workload: str, seed: int, seconds: float) -> dict:
@@ -111,14 +114,13 @@ def fleet_inputs(workload: str, seed: int, seconds: float) -> dict:
 
 
 def serve_inputs(seed: int, seconds: float, table4_runs: int = TABLE4_RUNS,
-                 probe_replicas: int = SERVE_PROBE_REPLICAS,
                  cycles: int | None = None) -> dict:
     """Warm-up specs and the job stream for ``serve``.
 
     Each job is ``{"class": ..., "spec": ..., "repeats": index | None}``;
     a resubmit names the index of the job whose tasks (and aggregate)
-    it repeats. ``table4_runs``/``probe_replicas``/``cycles`` shrink the
-    stream for the benchmark's own tests.
+    it repeats. ``table4_runs`` and ``cycles`` shrink the stream for the
+    benchmark's own tests.
     """
     rng = _rng("serve", seed)
     count = cycles if cycles is not None else units("serve", seconds)
@@ -134,20 +136,16 @@ def serve_inputs(seed: int, seconds: float, table4_runs: int = TABLE4_RUNS,
                                                  runs=table4_runs)})
             elif slot == "P":
                 jobs.append({"class": "probe", "repeats": None,
-                             "spec": probe_spec(next(next_seed),
-                                                probe_replicas)})
+                             "spec": probe_spec(next(next_seed))})
             else:
                 index = start + int(slot[1:])
-                original = jobs[index]["spec"]
-                # Another shard size is another plan fingerprint: a fresh
-                # run directory, so every task comes from the cache.
-                shard = 5 if original.get("shard_size", 4) == 4 else 4
                 jobs.append({"class": "resubmit", "repeats": index,
-                             "spec": dict(original, shard_size=shard)})
+                             "spec": dict(jobs[index]["spec"],
+                                          shard_size=RESUBMIT_SHARD_SIZE)})
     return {
         # Cold-pool warm-up: large enough to resolve to the pool, which
         # spawns the warm workers; then one inline probe.
         "warmup": [table4_spec(base, runs=max(20, table4_runs // 2)),
-                   probe_spec(base + 1, probe_replicas)],
+                   probe_spec(base + 1)],
         "jobs": jobs,
     }

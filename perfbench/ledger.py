@@ -6,10 +6,22 @@ hits, flushes) come from span attributes recorded where the work
 happened. :func:`per_layer` returns every per-layer metric of
 ``BENCHMARK.json``; a metric whose layer the workload never calls reads
 0 and is listed in ``missing`` with the reason.
+
+The simulation subsystems have no spans of their own. Their
+``<subsystem>.self_share`` is the share of measured lane time (a sweep
+or job's wall times the processes that simulated in it: 1 inline, the
+pool's workers on the pool) the subsystem took: the subsystem's share
+of a profiled replay of the class (:mod:`profile_replay`), times the
+self time of the ``testbed`` spans in that class's sweeps or jobs,
+summed over the classes and divided by the lane time, so the serve job
+mix weighs each class by the simulation it really did. Its
+``<subsystem>.calls_per_task`` is the replay's count per task, weighted
+by the class's tasks in the run.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from collections import defaultdict
 from pathlib import Path
@@ -49,17 +61,17 @@ def _union(intervals: list[tuple[float, float]]) -> float:
     return total
 
 
-def covered_share(spans: list[dict], main_pid: int,
-                  windows: list[tuple[float, float]]) -> float:
-    """Share of the measured windows that the main process's spans cover."""
+def covered_share(spans: list[dict], main_pid: int, windows: list) -> float:
+    """Share of the measured windows (each with ``start`` and ``end``)
+    that the main process's spans cover."""
     tops = [(s["start"], s["end"]) for s in spans
             if s["pid"] == main_pid and s["parent"] is None
             and s["end"] > s["start"]]
     covered = 0.0
-    for lo, hi in windows:
-        covered += _union([(max(a, lo), min(b, hi)) for a, b in tops
-                           if b > lo and a < hi])
-    wall = sum(hi - lo for lo, hi in windows)
+    for w in windows:
+        covered += _union([(max(a, w.start), min(b, w.end)) for a, b in tops
+                           if b > w.start and a < w.end])
+    wall = sum(w.end - w.start for w in windows)
     return covered / wall if wall else 0.0
 
 
@@ -79,14 +91,47 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
+def subsystem_metrics(spans: list[dict], selfs: dict, profiles: dict,
+                      windows: list) -> dict[str, float]:
+    """``<subsystem>.self_share`` and ``.calls_per_task``; see the module
+    docstring. ``profiles`` maps a window class to its replay's rollup;
+    classes without one (cache-served resubmits) simulate nothing."""
+    windows = sorted(windows)
+    starts = [w.start for w in windows]
+    testbed_s = dict.fromkeys(profiles, 0.0)
+    for span in spans:
+        if not span["name"].startswith("testbed."):
+            continue
+        index = bisect.bisect_right(starts, span["start"]) - 1
+        if index >= 0 and span["start"] < windows[index].end \
+                and windows[index].cls in testbed_s:
+            testbed_s[windows[index].cls] += selfs[(span["pid"], span["id"])]
+    tasks = {cls: sum(w.tasks for w in windows if w.cls == cls)
+             for cls in profiles}
+    lane_s = sum((w.end - w.start) * w.lanes for w in windows)
+    all_tasks = sum(tasks.values())
+    m = {}
+    for name in (*SUBSYSTEMS, "other"):
+        rollups = {cls: p["subsystems"][name] for cls, p in profiles.items()}
+        m[f"{name}.self_share"] = sum(
+            r["self_share"] * testbed_s[cls] for cls, r in rollups.items()
+        ) / lane_s if lane_s else 0.0
+        m[f"{name}.calls_per_task"] = sum(
+            r["calls_per_task"] * tasks[cls] for cls, r in rollups.items()
+        ) / all_tasks if all_tasks else 0.0
+    return m
+
+
 def per_layer(spans: list[dict], main_pid: int, tasks: int, workers: int,
-              profile: dict, phase_start: float
+              profiles: dict, windows: list
               ) -> tuple[dict[str, float], dict[str, str]]:
     """(metric -> value, metric -> reason it reads 0) for one traced run.
 
-    Spans that started before ``phase_start`` (set-up and warm-up) are
-    left out, except pool spawns: a warm pool spawns during set-up.
+    Spans that started before the first measured window (set-up and
+    warm-up) are left out, except pool spawns: a warm pool spawns during
+    set-up.
     """
+    phase_start = min(w.start for w in windows)
     spawn_events = ("pool.spawn", "pool.worker_ready")
     by_name: dict[str, list[dict]] = defaultdict(list)
     for span in spans:
@@ -186,8 +231,5 @@ def per_layer(spans: list[dict], main_pid: int, tasks: int, workers: int,
         if not by_name[name]:
             missing[key] = f"the workload never calls {name}"
 
-    for name in (*SUBSYSTEMS, "other"):
-        entry = profile["subsystems"][name]
-        m[f"{name}.self_share"] = entry["self_share"]
-        m[f"{name}.calls_per_task"] = entry["calls_per_task"]
+    m.update(subsystem_metrics(spans, selfs, profiles, windows))
     return m, missing

@@ -6,7 +6,9 @@ this fresh process under ``repro.profiling``, and writes the self-time
 share and call count of each simulation subsystem. A fresh process with
 the same spec makes the same calls, so the call counts repeat exactly.
 cProfile inflates call-heavy code, so the shares say where self time
-goes, not how long it takes; the ledger scales them to traced spans.
+goes, not how long it takes; the ledger multiplies them by the self
+time of the traced ``testbed`` spans of the sweeps or jobs of the same
+class (:func:`ledger.subsystem_metrics`).
 """
 
 from __future__ import annotations

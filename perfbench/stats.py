@@ -17,6 +17,9 @@ import statistics
 MIN_BEYOND = 10
 #: Share of the ranks around a percentile that must belong to its class.
 MIN_CLASS_SHARE = 0.8
+#: How far (a share of the sample) a percentile must sit inside its
+#: class's ranks, and the width of the rank window checked around it.
+CLASS_MARGIN = 0.05
 
 
 class SampleError(ValueError):
@@ -48,20 +51,19 @@ def percentile(values: list[float], q: float, min_beyond: int = MIN_BEYOND) -> f
     return ranked[low] + (ranked[high] - ranked[low]) * (position - low)
 
 
-def check_inside_class(samples: list[tuple[float, str]], q: float,
-                       margin: float = 0.05) -> str:
+def check_inside_class(samples: list[tuple[float, str]], q: float) -> str:
     """The job class percentile ``q`` falls in; raises on a boundary.
 
     ``samples`` are ``(latency, class)`` pairs. Ranked by their median
     latency, the classes split the ranks into one interval each, sized
     by their share of the mix. The percentile's position must lie at
-    least ``margin`` (a share of the sample) inside one interval —
-    otherwise a small shift in the mix moves the percentile from one
-    class's latency to another's, and the number swings with it — and
-    at least :data:`MIN_CLASS_SHARE` of the samples within ``margin``
-    of that position must belong to that class. A stray slow job of
-    another class does not move the percentile; classes whose
-    latencies overlap where it sits do.
+    least :data:`CLASS_MARGIN` (a share of the sample) inside one
+    interval — otherwise a small shift in the mix moves the percentile
+    from one class's latency to another's, and the number swings with
+    it — and at least :data:`MIN_CLASS_SHARE` of the samples within
+    :data:`CLASS_MARGIN` of that position must belong to that class. A
+    stray slow job of another class does not move the percentile;
+    classes whose latencies overlap where it sits do.
     """
     if not samples:
         raise SampleError("class check on an empty sample")
@@ -69,7 +71,7 @@ def check_inside_class(samples: list[tuple[float, str]], q: float,
     for value, cls in samples:
         by_class.setdefault(cls, []).append(value)
     position = q / 100.0 * (len(samples) - 1)
-    width = margin * len(samples)
+    width = CLASS_MARGIN * len(samples)
     start = 0
     for cls in sorted(by_class, key=lambda c: statistics.median(by_class[c])):
         end = start + len(by_class[cls])

@@ -16,6 +16,7 @@ import pytest
 
 import checks
 import inputs as gen
+import ledger
 import run
 import stats
 
@@ -56,6 +57,47 @@ def test_class_check_accepts_the_benchmark_mix():
     mix = _mix(counts, LATENCY)
     assert stats.check_inside_class(mix, 50) == "probe"
     assert stats.check_inside_class(mix, 90) == "sweep"
+
+
+# -- subsystem shares -------------------------------------------------------
+def _span(span_id: int, start: float, end: float, name: str,
+          pid: int = 1, parent: int | None = None) -> dict:
+    return {"pid": pid, "id": span_id, "parent": parent, "name": name,
+            "start": start, "end": end, "attrs": {}}
+
+
+def _rollup(crypto_share: float, crypto_calls: float) -> dict:
+    rollup = {name: {"self_share": 0.0, "calls_per_task": 0.0}
+              for name in (*ledger.SUBSYSTEMS, "other")}
+    rollup["crypto"] = {"self_share": crypto_share,
+                        "calls_per_task": crypto_calls}
+    return {"subsystems": rollup}
+
+
+def test_subsystem_shares_scale_to_testbed_spans_per_class():
+    windows = [run.Window(0.0, 1.0, "probe", 1, 10),
+               run.Window(1.0, 3.0, "sweep", 2, 30),
+               run.Window(3.0, 3.5, "resubmit", 1, 10)]
+    spans = [
+        # probe, inline: 0.5 s of testbed (warm-up nested in the scenario)
+        _span(1, 0.1, 0.6, "testbed.scenario"),
+        _span(2, 0.1, 0.2, "testbed.warm_up", parent=1),
+        _span(3, 0.6, 0.9, "resultcache.store"),
+        # sweep, two pool workers: 2 s of testbed
+        _span(1, 1.2, 2.2, "testbed.scenario", pid=2),
+        _span(1, 1.5, 2.5, "testbed.cohort", pid=3),
+        # before the measured phase: left out
+        _span(4, -1.0, -0.5, "testbed.scenario"),
+    ]
+    profiles = {"probe": _rollup(0.5, 100.0), "sweep": _rollup(0.25, 40.0)}
+    m = ledger.subsystem_metrics(spans, ledger.self_times(spans), profiles,
+                                 windows)
+    lane_s = 1.0 + 2.0 * 2 + 0.5
+    assert m["crypto.self_share"] == pytest.approx(
+        (0.5 * 0.5 + 0.25 * 2.0) / lane_s)
+    assert m["crypto.calls_per_task"] == pytest.approx(
+        (100.0 * 10 + 40.0 * 30) / 40)
+    assert m["nas.self_share"] == 0.0
 
 
 # -- output check -----------------------------------------------------------
@@ -117,8 +159,7 @@ def test_fleet_workload_end_to_end(workload: str, tmp_path: Path):
 
 
 def test_serve_workload_end_to_end(tmp_path: Path):
-    spec = gen.serve_inputs(5, 1.0, table4_runs=12, probe_replicas=2,
-                            cycles=10)
+    spec = gen.serve_inputs(5, 1.0, table4_runs=24, cycles=10)
     outcome = run.serve_run(5, 1.0, tmp_path, setups=1, spec=spec)
     assert outcome["verdict"].ok, outcome["verdict"].problems
     assert outcome["meta"]["jobs_beyond_p90"] >= stats.MIN_BEYOND
