@@ -59,8 +59,10 @@ SUITE_RUNS = 8
 
 
 def _timed_sweep(plan, pool) -> tuple[float, dict]:
+    # executor="pool" pins the pool path: auto would run this suite
+    # inline and never spawn the pool this bench measures.
     started = time.perf_counter()
-    report = FleetRunner(plan, pool=pool).run()
+    report = FleetRunner(plan, pool=pool, executor="pool").run()
     seconds = time.perf_counter() - started
     if not report.complete:
         raise RuntimeError(f"failed shards: {sorted(report.failed_shards)}")
@@ -115,7 +117,7 @@ def _bench_submit_first_shard(spec: dict) -> dict:
         root = Path(root)
         with WorkerPool(POOL_WORKERS) as pool:
             queue = JobQueue(pool, RunRegistry(root / "registry"),
-                             root / "jobs")
+                             root / "jobs", executor="pool")
             queue.start()
             try:
                 # prime job spins the pool; the measured job rides warm

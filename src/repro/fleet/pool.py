@@ -2,21 +2,22 @@
 
 ``execute_plan`` runs every shard of a :class:`FleetPlan` through a
 shard function (by default :func:`repro.fleet.worker.run_shard`),
-in-process or on a ``concurrent.futures.ProcessPoolExecutor``.
-Execution is organised in *rounds*: each round submits all
-still-pending shards, collects outcomes, and re-queues failures until
-their attempt budget (``1 + retries``) is exhausted. A crashed worker
-process (which breaks the executor) therefore costs one attempt for
-the shards of that round and a fresh executor for the next — never the
-run. A healthy executor is **never** rebuilt between rounds: only an
-observed ``BrokenProcessPool`` discards it.
+in-process or on a :class:`WorkerPool`. Execution is organised in
+*rounds*: each round submits all still-pending shards, collects
+outcomes, and re-queues failures until their attempt budget
+(``1 + retries``) is exhausted. A crashed worker process (which breaks
+the executor) therefore costs one attempt for the shards it took down
+and a fresh executor for the next round — never the run. A healthy
+executor is **never** rebuilt between rounds: only an observed
+``BrokenProcessPool`` discards it.
 
 Three executor modes (``executor=`` / ``--executor``):
 
 * ``inline`` — run every shard in this process, zero IPC, draining the
   steal queue in the same LPT order a single pool worker would;
-* ``pool`` — always dispatch through a process pool (a per-sweep
-  throwaway executor, or a shared warm :class:`WorkerPool`);
+* ``pool`` — always dispatch through a :class:`WorkerPool`: the
+  caller's shared warm pool, or one the sweep builds for itself and
+  shuts down when it ends;
 * ``auto`` (default) — consult the planner's deterministic cost model
   (:func:`repro.fleet.planner.estimated_plan_cost`): when the sweep's
   estimated work cannot amortise pool spin-up + IPC, run inline.
@@ -30,17 +31,9 @@ heuristic (:func:`repro.fleet.planner.steal_order`), split into
 fine-grained batches of guided-self-scheduling sizes, and all batches
 are submitted up front. The executor's shared call queue *is* the
 steal queue — an idle worker pulls the next batch the moment it drains
-its current one.
-
-On the default dispatch path each steal batch travels as one **binary
-task frame** (:mod:`repro.fleet.frames`): workers hold a resident,
-fingerprint-checked copy of the plan (installed by the cold executor's
-initializer, or in-band from a compressed blob carried by the first
-few frames — a ``PLAN_MISS`` reply re-sends it, so a late or recycled
-worker can never run the wrong plan), tasks cross the wire as
-``(task_index, seed)`` pairs, and results return as packed structs
-that the pool inflates back into checkpoint-identical record dicts.
-Custom ``shard_fn`` s fall back to the legacy pickled-dict path.
+its current one. A batch travels as one pickled list of
+``(shard_id, Shard.to_json())`` pairs and returns as the shard result
+dicts the checkpoint stores verbatim.
 
 Results are keyed by ``shard_id`` and returned sorted, so downstream
 aggregation sees the same sequence no matter which worker stole which
@@ -52,20 +45,13 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import threading
-import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
 
 from repro.core.online_learning import merge_records
-from repro.fleet import frames
 from repro.fleet.checkpoint import Checkpoint
 from repro.fleet.planner import (
     FleetPlan,
@@ -75,12 +61,12 @@ from repro.fleet.planner import (
 )
 from repro.fleet.resultcache import ResultCache
 from repro.fleet.worker import (
+    attempt_shard,
     configure_cache,
     preload_plan,
     run_frame,
     run_shard,
 )
-from repro.testbed import preload
 
 log = logging.getLogger(__name__)
 
@@ -127,34 +113,25 @@ def resolve_executor(
     return "inline" if estimated_plan_cost(plan) < threshold else "pool"
 
 
-def _warm_worker_init(initializer, cache) -> None:
-    """Warm-pool worker start: user initializer + cache write-back.
-
-    Module-level (picklable) by fleet-safety contract.
-    """
-    if initializer is not None:
-        initializer()
-    if cache is not None:
-        configure_cache(cache)
-
-
 class WorkerPool:
-    """A reusable ("warm") process pool shared across sweeps.
+    """The one process pool: a shared warm pool, or one sweep's own.
 
-    Created once and handed to any number of :func:`execute_plan` /
-    ``FleetRunner`` invocations: the underlying executor — and with it
-    the worker processes, which pre-import the testbed through
-    :func:`repro.testbed.preload` — survives from sweep to sweep, so
-    back-to-back sweeps stop paying per-sweep pool spin-up (the <1×
-    multi-worker gap on small boxes, where spin-up rivals the
-    post-quiescence per-scenario cost).
+    Handed to any number of :func:`execute_plan` / ``FleetRunner``
+    invocations, a pool's executor — and with it the worker processes,
+    which pre-import the testbed through
+    :func:`repro.fleet.worker.preload_plan` — survives from sweep to
+    sweep, so back-to-back sweeps stop paying per-sweep pool spin-up
+    (the <1× multi-worker gap on small boxes, where spin-up rivals the
+    post-quiescence per-scenario cost). A sweep that resolves to the
+    pool without one builds its own and shuts it down when it ends.
 
-    Workers use the ``spawn`` start method: it is safe to create from a
-    threaded daemon (fork from a multi-threaded server is not), it
-    matches the worst-case cost the warm pool exists to amortise (a
-    full interpreter boot + testbed re-import per worker), and the
-    ``preload`` initializer pays exactly that cost once per worker
-    lifetime instead of once per sweep.
+    Who owns the pool picks the start method. A pool a caller
+    constructs uses ``spawn``: it is safe to create from a threaded
+    daemon (fork from a multi-threaded server is not), and each worker
+    pays the interpreter boot + testbed import once per lifetime
+    instead of once per sweep. A pool ``execute_plan`` builds for one
+    sweep uses the platform default (fork on Linux), the cheapest cold
+    start.
 
     A crashed worker breaks the executor; :meth:`discard` drops it and
     the next :meth:`executor` call builds a fresh one. Discard is only
@@ -171,20 +148,16 @@ class WorkerPool:
     never resurrect or double-build an executor (CONC001 discipline).
     """
 
-    def __init__(
-        self,
-        workers: int,
-        initializer: Callable[[], None] | None = preload,
-        cache: ResultCache | None = None,
-    ) -> None:
+    def __init__(self, workers: int, cache: ResultCache | None = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.initializer = initializer
         #: Result-cache write-back target installed in every worker at
         #: spawn (the serve daemon's shared cache). Lookups stay on the
         #: dispatching side; workers only store.
         self.cache = cache
+        #: ``None`` (the platform default) on a sweep's own pool.
+        self._start_method: str | None = "spawn"
         self._lock = threading.Lock()
         self._executor: ProcessPoolExecutor | None = None
         #: Executors built over this pool's lifetime (spin-up telemetry:
@@ -197,9 +170,8 @@ class WorkerPool:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
-                    initializer=partial(_warm_worker_init,
-                                        self.initializer, self.cache),
+                    mp_context=multiprocessing.get_context(self._start_method),
+                    initializer=partial(preload_plan, self.cache),
                 )
                 self.executors_spawned += 1
             return self._executor
@@ -264,27 +236,24 @@ def execute_plan(
     on_shard: ShardCallback | None = None,
     stop: Callable[[], bool] | None = None,
     executor: str = "auto",
-    use_frames: bool | None = None,
     cache: ResultCache | None = None,
     on_cache: Callable[[int, int], None] | None = None,
 ) -> PoolOutcome:
     """Run all shards, resuming from ``checkpoint`` when given.
 
-    ``pool`` swaps the per-round throwaway executor for a shared warm
-    :class:`WorkerPool` (its worker count wins over ``workers``).
-    ``executor`` picks the dispatch mode (``auto``/``pool``/``inline``
-    — see the module docstring); ``auto`` may bypass a provided pool
-    entirely when the sweep is too small to amortise it. ``use_frames``
-    overrides the binary-frame wire (default: frames whenever the
-    stock ``run_shard`` goes through a process pool; custom shard
-    functions always use the pickled-dict path). ``on_shard`` fires for
-    every available result — checkpoint-restored shards first, then
-    fresh ones the moment they land — which is what the streaming
-    aggregator folds. ``stop`` is polled between results; once it
-    returns True no further work is scheduled, in-flight batches are
-    cancelled where possible, and the partial outcome is returned with
-    ``stopped=True`` (completed shards are already in the checkpoint,
-    so the run is resumable).
+    ``pool`` hands in a shared warm :class:`WorkerPool` (its worker
+    count wins over ``workers``); without one, a sweep that resolves to
+    the pool builds its own, reuses it across retry rounds and shuts it
+    down when the sweep ends. ``executor`` picks the dispatch mode
+    (``auto``/``pool``/``inline`` — see the module docstring); ``auto``
+    may bypass a provided pool entirely when the sweep is too small to
+    amortise it. ``on_shard`` fires for every available result —
+    checkpoint-restored shards first, then fresh ones the moment they
+    land — which is what the streaming aggregator folds. ``stop`` is
+    polled between results; once it returns True no further work is
+    scheduled, in-flight batches are cancelled where possible, and the
+    partial outcome is returned with ``stopped=True`` (completed shards
+    are already in the checkpoint, so the run is resumable).
 
     ``cache`` arms the content-addressed result cache
     (:mod:`repro.fleet.resultcache`): pending tasks are looked up
@@ -301,12 +270,6 @@ def execute_plan(
     outcome = PoolOutcome()
     if pool is not None:
         workers = pool.workers
-
-    framed = use_frames
-    if framed is None:
-        framed = shard_fn is run_shard
-    elif framed and shard_fn is not run_shard:
-        raise ValueError("use_frames=True requires the stock run_shard")
     if cache is not None and shard_fn is not run_shard:
         cache = None
 
@@ -330,12 +293,15 @@ def execute_plan(
     mode = resolve_executor(executor, run_plan, workers, pool)
     outcome.executor_mode = mode
     inline = mode == "inline"
+    owned = None
     if inline:
-        pool, workers = None, 1
-
-    ctx = None
-    if framed and not inline:
-        ctx = frames.PlanContext(run_plan)
+        pool = None
+    elif pool is None:
+        # The sweep's own pool: built lazily on the first round, reused
+        # by retry rounds, shut down below. Nothing else shares it, so
+        # it keeps the platform's start method (fork on Linux).
+        pool = owned = WorkerPool(workers, cache=cache)
+        owned._start_method = None
 
     payloads = {s.shard_id: s.to_json() for s in run_plan.shards}
     pending = {sid: 0 for sid in payloads if sid not in outcome.results}
@@ -352,8 +318,7 @@ def execute_plan(
                 break
             round_ids = [sid for sid in queue_order if sid in pending]
             round_batches = _run_round(
-                shard_fn, payloads, round_ids, workers,
-                pool=pool, stop=stop, ctx=ctx, inline=inline, cache=cache)
+                shard_fn, payloads, round_ids, pool=pool, stop=stop)
             for batch in round_batches:
                 for sid, result, error in batch:
                     pending[sid] += 1
@@ -390,6 +355,8 @@ def execute_plan(
                 outcome.stopped = True
                 break
     finally:
+        if owned is not None:
+            owned.shutdown()
         if inline_cache is not None:
             configure_cache(previous_cache)
         if checkpoint is not None:
@@ -481,25 +448,6 @@ def _merge_cached(
             "learning": learning}
 
 
-def _attempt_inline(shard_fn, payload) -> tuple[dict | None, str | None]:
-    try:
-        return shard_fn(payload), None
-    except Exception as exc:
-        # Keep the concrete error type in the recorded failure so the
-        # shard result names what went wrong, not just a traceback tail.
-        return None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=8)}"
-
-
-def _run_shard_chunk(shard_fn, chunk) -> list[tuple[int, dict | None, str | None]]:
-    """Run a batch of shards inside one worker task (legacy dict wire).
-
-    Module-level (picklable) by fleet-safety contract. Exceptions are
-    captured per shard, so one failing shard costs itself an attempt,
-    not its batch-mates.
-    """
-    return [(sid, *_attempt_inline(shard_fn, payload)) for sid, payload in chunk]
-
-
 def _batches(round_ids: list[int], workers: int) -> list[list[int]]:
     """Split a round into guided-self-scheduling batches.
 
@@ -521,8 +469,7 @@ def _batches(round_ids: list[int], workers: int) -> list[list[int]]:
 
 
 def _run_round(
-    shard_fn, payloads, round_ids, workers,
-    pool=None, stop=None, ctx=None, inline=False, cache=None,
+    shard_fn, payloads, round_ids, pool=None, stop=None,
 ) -> Iterator[list[tuple[int, dict | None, str | None]]]:
     """One submission round, yielding outcomes one steal batch at a time.
 
@@ -530,198 +477,60 @@ def _run_round(
     killed run keeps every batch that landed before the kill, not just
     completed rounds.
 
-    Inline mode drains the steal queue in this process, yielding
-    singleton batches (per-record durability, matching the pre-frame
-    behavior). Pool mode submits all batches of the round up front; the
-    executor's shared call queue acts as the steal queue, so each
-    worker pulls the next pending batch the moment it finishes its
-    current one. With ``round_ids`` in LPT order the long shards start
-    first and the short tail backfills whichever worker frees up —
-    completion order varies, results do not.
+    Without a ``pool`` the steal queue drains in this process, yielding
+    singleton batches (per-record durability). With one, all batches of
+    the round are submitted up front; the executor's shared call queue
+    acts as the steal queue, so each worker pulls the next pending
+    batch the moment it finishes its current one. With ``round_ids`` in
+    LPT order the long shards start first and the short tail backfills
+    whichever worker frees up — completion order varies, results do
+    not.
 
-    Without a warm ``pool`` the executor lives for exactly one round:
-    if a worker dies and breaks it, every future of the round resolves
-    (some with ``BrokenProcessPool``), the broken executor is
-    discarded, and the next round starts clean. With a warm pool the
-    executor is borrowed and survives the round; only an observed
-    ``BrokenProcessPool`` hands it back via :meth:`WorkerPool.discard`
-    for a lazy rebuild — plain shard failures never cost a respawn.
-    Either way a broken batch future costs each of its shards one
-    attempt — never the run.
+    The executor is borrowed from the pool and survives the round.
+    Only an observed ``BrokenProcessPool`` — a worker that died mid-
+    batch, or one that died idle and made ``submit`` refuse work —
+    hands it back via :meth:`WorkerPool.discard` for a lazy rebuild;
+    plain shard failures never cost a respawn. Either way each shard
+    the broken executor did not run costs one attempt — never the run.
 
     ``stop`` is polled between batch completions; when it trips, still-
     queued batches are cancelled (a batch already on a worker runs to
     completion and is simply not consumed) and the round ends early.
     """
-    if inline:
+    if pool is None:
         for sid in round_ids:
             if stop is not None and stop():
                 return
-            yield [(sid, *_attempt_inline(shard_fn, payloads[sid]))]
+            yield [(sid, *attempt_shard(shard_fn, payloads[sid]))]
         return
-    own_executor = pool is None
-    if not own_executor:
-        executor = pool.executor()
-    elif ctx is not None:
-        # Cold per-sweep executor: install the plan at worker start
-        # (testbed preload + resident install, plus the result-cache
-        # write-back when armed), so the frame path never pays a
-        # PLAN_MISS round trip on a throwaway pool.
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=partial(preload_plan, ctx.blob, ctx.fingerprint,
-                                cache),
-        )
-    else:
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=(partial(configure_cache, cache)
-                         if cache is not None else None))
+    executor = pool.executor()
+    futures = {}
     try:
-        if ctx is not None:
-            yield from _frame_round(
-                executor, ctx, round_ids, workers,
-                pool=pool, stop=stop, preinstalled=own_executor)
-        else:
-            yield from _dict_round(
-                executor, shard_fn, payloads, round_ids, workers,
-                pool=pool, stop=stop)
-    finally:
-        if own_executor:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-
-def _dict_round(
-    executor, shard_fn, payloads, round_ids, workers, pool=None, stop=None
-) -> Iterator[list[tuple[int, dict | None, str | None]]]:
-    """Legacy pickled-dict dispatch (custom shard functions)."""
-    futures = {
-        executor.submit(
-            _run_shard_chunk, shard_fn, [(sid, payloads[sid]) for sid in ids]
-        ): ids
-        for ids in _batches(round_ids, workers)
-    }
+        for ids in _batches(round_ids, pool.workers):
+            batch = [(sid, payloads[sid]) for sid in ids]
+            futures[executor.submit(run_frame, shard_fn, batch)] = ids
+    except Exception as exc:
+        # submit() refuses work once the executor is broken, e.g. by a
+        # worker that died while idle since the last sweep.
+        submitted = {sid for ids in futures.values() for sid in ids}
+        yield _lost(pool, exc, [sid for sid in round_ids
+                                if sid not in submitted])
     for future in as_completed(futures):
         if stop is not None and stop():
             for queued in futures:
                 queued.cancel()
             return
-        ids = futures[future]
         try:
-            yield list(future.result())
+            batch = future.result()
         except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            if pool is not None and isinstance(exc, BrokenProcessPool):
-                pool.discard()
-            yield [(sid, None, error) for sid in ids]
+            batch = _lost(pool, exc, futures[future])
+        yield batch
 
 
-# Per-executor resident-plan bookkeeping (how many fingerprints one
-# executor tracks before evicting the oldest entry).
-_RESIDENT_TABLE_CAP = 8
-
-
-def _resident_state(executor, fingerprint: str) -> dict:
-    """Blob/confirmation bookkeeping for one (executor, plan) pair.
-
-    Lives on the executor object so it dies with it: a rebuilt executor
-    (fresh worker processes) starts unconfirmed and re-ships the blob.
-    Touched only by the single dispatching thread of ``execute_plan``.
-    """
-    table = getattr(executor, "_seed_resident", None)
-    if table is None:
-        table = {}
-        executor._seed_resident = table
-    state = table.get(fingerprint)
-    if state is None:
-        while len(table) >= _RESIDENT_TABLE_CAP:
-            table.pop(next(iter(table)))
-        state = {"confirmed": set(), "blobs_sent": 0}
-        table[fingerprint] = state
-    return state
-
-
-def _frame_round(
-    executor, ctx, round_ids, workers, pool=None, stop=None, preinstalled=False
-) -> Iterator[list[tuple[int, dict | None, str | None]]]:
-    """Binary-frame dispatch: compact task frames out, packed results in.
-
-    The plan blob rides along only until every worker is known to hold
-    the plan: at most the first ``workers`` submissions carry it, and a
-    ``PLAN_MISS`` reply (a worker whose first pull came later, or whose
-    resident cache evicted the plan) triggers one resubmission of the
-    same batch with the blob attached. Confirmations are tracked by
-    worker pid from RESULT frames.
-    """
-    state = _resident_state(executor, ctx.fingerprint)
-    if preinstalled:
-        # The cold executor's initializer installed the plan in every
-        # worker; never spend wire on the blob.
-        state["blobs_sent"] = workers
-
-    def submit(ids: list[int], force_blob: bool = False):
-        with_blob = force_blob or (
-            len(state["confirmed"]) < workers
-            and state["blobs_sent"] < workers)
-        if with_blob:
-            state["blobs_sent"] += 1
-        return executor.submit(run_frame, ctx.task_frame(ids, with_blob))
-
-    pending: dict = {}
-    try:
-        for ids in _batches(round_ids, workers):
-            pending[submit(ids)] = ids
-    except Exception as exc:
-        # Executor refused new work (e.g. already broken): every
-        # unsubmitted shard of the round costs one attempt.
-        error = f"{type(exc).__name__}: {exc}"
-        if pool is not None and isinstance(exc, BrokenProcessPool):
-            pool.discard()
-        submitted = {sid for ids in pending.values() for sid in ids}
-        yield [(sid, None, error) for sid in round_ids if sid not in submitted]
-
-    while pending:
-        done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-        if stop is not None and stop():
-            for queued in pending:
-                queued.cancel()
-            return
-        for future in done:
-            ids = pending.pop(future)
-            try:
-                reply = frames.decode_frame(future.result())
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if pool is not None and isinstance(exc, BrokenProcessPool):
-                    pool.discard()
-                yield [(sid, None, error) for sid in ids]
-                continue
-            if isinstance(reply, frames.PlanMissFrame):
-                try:
-                    pending[submit(ids, force_blob=True)] = ids
-                except Exception as exc:
-                    yield [(sid, None, f"{type(exc).__name__}: {exc}")
-                           for sid in ids]
-                continue
-            if (not isinstance(reply, frames.ResultFrame)
-                    or reply.fingerprint != ctx.fingerprint):
-                yield [(sid, None, "FrameError: unexpected reply frame")
-                       for sid in ids]
-                continue
-            state["confirmed"].add(reply.pid)
-            expected = set(ids)
-            batch = []
-            for shard_outcome in reply.shards:
-                if shard_outcome.shard_id not in expected:
-                    continue  # never un-account a shard of another batch
-                expected.discard(shard_outcome.shard_id)
-                if shard_outcome.error is not None:
-                    batch.append((shard_outcome.shard_id, None,
-                                  shard_outcome.error))
-                else:
-                    batch.append((shard_outcome.shard_id,
-                                  ctx.inflate_shard(shard_outcome), None))
-            for sid in sorted(expected):
-                batch.append((sid, None,
-                              "FrameError: shard missing from result frame"))
-            yield batch
+def _lost(pool: WorkerPool, exc: Exception,
+          ids: list[int]) -> list[tuple[int, None, str]]:
+    """Error outcomes for shards the executor could not run."""
+    if isinstance(exc, BrokenProcessPool):
+        pool.discard()
+    error = f"{type(exc).__name__}: {exc}"
+    return [(sid, None, error) for sid in ids]

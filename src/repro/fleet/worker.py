@@ -15,22 +15,22 @@ the one-testbed-per-task path — the only difference is the audit-only
 
 from __future__ import annotations
 
-import os
 import traceback
+from typing import Callable
 
 from repro.core.online_learning import merge_records
 from repro.device.android import AndroidTimers
-from repro.fleet import frames
-from repro.fleet.planner import FleetPlan, Shard, TaskSpec
+from repro.fleet.planner import Shard, TaskSpec
 from repro.fleet.resultcache import ResultCache
+from repro.testbed import preload
 from repro.testbed.harness import Cohort, CohortMember, HandlingMode, run_one
 from repro.testbed.scenarios import scenario_by_name
 
-#: Process-wide write-back target for the result cache (PR 10). Set by
-#: executor initializers (cold pools), the warm-pool wrapper, or the
-#: inline executor around its drain loop. Workers only ever *store*
-#: through it — lookups happen pool-side, before dispatch — so a dead
-#: or read-only cache can never fail a shard.
+#: Process-wide write-back target for the result cache. Set by the pool
+#: worker initializer (:func:`preload_plan`) or by the inline executor
+#: around its drain loop. Workers only ever *store* through it —
+#: lookups happen pool-side, before dispatch — so a dead or read-only
+#: cache can never fail a shard.
 _CACHE: ResultCache | None = None
 
 
@@ -128,7 +128,7 @@ def run_cohort_tasks(tasks: tuple[TaskSpec, ...]) -> tuple[list[dict], dict]:
 
 
 def run_shard_object(shard: Shard) -> dict:
-    """Execute one :class:`Shard` (shared by the dict and frame paths)."""
+    """Execute one :class:`Shard`."""
     if shard.cohort_size > 1 and shard.tasks:
         records, learning = run_cohort_tasks(shard.tasks)
         return {"shard_id": shard.shard_id, "tasks": records,
@@ -148,110 +148,48 @@ def run_shard(payload: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Resident plans + frame execution (the zero-overhead dispatch path)
+# Pool-worker entry points
 # ---------------------------------------------------------------------------
-#: Fingerprint -> (installed plan, shard_id index), in this worker
-#: process. The index maps each shard id to ``(shard, expected
-#: (task_id, seed) pairs)`` — the pairs are cached at install time so
-#: verifying a dispatch is one tuple comparison, not a per-frame
-#: rebuild. Insertion-ordered so eviction drops the oldest; the pool's
-#: PLAN_MISS handshake reinstalls an evicted plan, so the cap bounds
-#: memory, not progress.
-_ShardIndex = dict[int, tuple[Shard, tuple[tuple[int, int], ...]]]
-_RESIDENT: dict[str, tuple[FleetPlan, _ShardIndex]] = {}
-_RESIDENT_CAP = 8
+def attempt_shard(shard_fn: Callable[[dict], dict],
+                  payload: dict) -> tuple[dict | None, str | None]:
+    """``(result, None)``, or ``(None, error)`` when ``shard_fn`` raises.
 
-
-def install_plan(blob: bytes, fingerprint: str) -> tuple[FleetPlan, _ShardIndex]:
-    """Decode a plan blob into the resident cache, fingerprint-checked.
-
-    The check is the wire-integrity gate of the resident-plan design:
-    a worker must never run tasks against a plan whose content hash
-    differs from the one the pool is dispatching.
+    The error keeps the concrete exception type and a traceback tail, so
+    a failed shard's record names what went wrong.
     """
-    plan = frames.decode_plan_blob(blob)
-    actual = plan.fingerprint()
-    if actual != fingerprint:
-        raise frames.FrameError(
-            f"plan blob fingerprint {actual!r} does not match frame "
-            f"fingerprint {fingerprint!r}")
-    while len(_RESIDENT) >= _RESIDENT_CAP:
-        _RESIDENT.pop(next(iter(_RESIDENT)))
-    entry = (plan, {
-        shard.shard_id: (shard,
-                         tuple((t.task_id, t.seed) for t in shard.tasks))
-        for shard in plan.shards})
-    _RESIDENT[fingerprint] = entry
-    return entry
-
-
-def preload_plan(blob: bytes, fingerprint: str,
-                 cache: ResultCache | None = None) -> None:
-    """Cold-executor initializer: testbed preload + resident install.
-
-    The per-sweep executor built by ``execute_plan`` passes this as its
-    initializer, so throwaway pools start with the plan resident and
-    never pay a PLAN_MISS round trip. Warm pools (which outlive any one
-    plan) install in-band instead. ``cache`` additionally arms the
-    result-cache write-back for the worker's lifetime.
-    """
-    from repro.testbed import preload
-
-    preload()
-    install_plan(blob, fingerprint)
-    if cache is not None:
-        configure_cache(cache)
-
-
-def _shard_outcome(shard_index: _ShardIndex, fingerprint: str,
-                   shard_id: int,
-                   tasks: tuple[tuple[int, int], ...]) -> frames.ShardOutcome:
-    """Run one shard of a TASK frame; exceptions become error outcomes."""
     try:
-        entry = shard_index.get(shard_id)
-        if entry is None:
-            raise frames.FrameError(
-                f"shard {shard_id} not in resident plan {fingerprint!r}")
-        shard, expected = entry
-        if tasks != expected:
-            raise frames.FrameError(
-                f"task entries for shard {shard_id} do not match the "
-                f"resident plan (wire/resident divergence)")
-        result = run_shard_object(shard)
+        return shard_fn(payload), None
     except Exception as exc:
-        # Mirror the dict path's error form: concrete type + traceback.
-        return frames.ShardOutcome(
-            shard_id=shard_id,
-            error=f"{type(exc).__name__}: {exc}\n"
-                  f"{traceback.format_exc(limit=8)}")
-    return frames.ShardOutcome(
-        shard_id=shard_id,
-        records=tuple(frames.pack_record(r) for r in result["tasks"]),
-        learning=frames.pack_learning(result["learning"]),
-    )
+        return None, f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=8)}"
 
 
-def run_frame(data: bytes) -> bytes:
-    """Execute one TASK frame; returns a RESULT (or PLAN_MISS) frame.
+def run_frame(shard_fn: Callable[[dict], dict],
+              batch: list[tuple[int, dict]],
+              ) -> list[tuple[int, dict | None, str | None]]:
+    """Run one steal batch of ``(shard_id, payload)`` pairs in a pool worker.
 
-    The module-level entry the pool ships to workers on the frame path.
-    A missing resident plan is not an error: the PLAN_MISS reply tells
-    the pool to resubmit the same batch with the plan blob attached.
+    The one function ``execute_plan`` submits to a :class:`WorkerPool`;
+    module-level, so it pickles by reference. Each shard's exception is
+    caught on its own, so a failing shard costs itself one attempt, not
+    its batch-mates.
+
+    Keep the name: the repository benchmark's layer spans
+    (``perfbench/spans.py``) wrap ``run_frame`` by name to measure
+    pool-worker busy time.
     """
-    frame = frames.decode_frame(data)
-    if not isinstance(frame, frames.TaskFrame):
-        raise frames.FrameError(
-            f"worker expected a TASK frame, got {type(frame).__name__}")
-    if frame.plan_blob is not None:
-        _, shard_index = install_plan(frame.plan_blob, frame.fingerprint)
-    else:
-        entry = _RESIDENT.get(frame.fingerprint)
-        if entry is None:
-            return frames.encode_frame(frames.PlanMissFrame(
-                fingerprint=frame.fingerprint, pid=os.getpid()))
-        _, shard_index = entry
-    outcomes = tuple(
-        _shard_outcome(shard_index, frame.fingerprint, shard_id, tasks)
-        for shard_id, tasks in frame.shards)
-    return frames.encode_frame(frames.ResultFrame(
-        fingerprint=frame.fingerprint, pid=os.getpid(), shards=outcomes))
+    return [(sid, *attempt_shard(shard_fn, payload)) for sid, payload in batch]
+
+
+def preload_plan(cache: ResultCache | None = None) -> None:
+    """The one pool-worker initializer: testbed preload, then the cache.
+
+    Every :class:`WorkerPool` worker runs it once at start, so shards
+    never pay the testbed import chain, and freshly computed tasks are
+    written back to ``cache`` (``None`` disarms write-back).
+
+    Keep the name: the repository benchmark's layer spans
+    (``perfbench/spans.py``) wrap ``preload_plan`` by name to time
+    worker start, and expect :func:`configure_cache` to come last.
+    """
+    preload()
+    configure_cache(cache)

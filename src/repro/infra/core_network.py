@@ -88,10 +88,6 @@ class CoreNetwork:
             # reattach-style recoveries clear session-reset failures.
             self.engine.note_session_reset(supi)
 
-    def _purge_sessions(self, supi: str) -> None:
-        """Deprecated alias of :meth:`purge_sessions` (pre-PR-5 name)."""
-        self.purge_sessions(supi)
-
     def _route_uplink(self, supi: str, message: NasMessage) -> None:
         self.nms.note_ran_event(supi=supi)
         if message.is_session_management:

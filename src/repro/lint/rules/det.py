@@ -30,11 +30,9 @@ DET_SCOPE = ("simkernel", "core", "fleet", "nas", "serve", "testbed",
              "infra")
 DET_RNG_SCOPE = DET_SCOPE + ("traces",)
 #: Iteration/dump-order discipline: the fleet prefix deliberately
-#: covers the wire codec (``fleet/frames.py``) — frame bytes are part
-#: of the dispatch path, so any unsorted dict walk there would leak
-#: hash order onto the wire — and the result cache
-#: (``fleet/resultcache.py``), whose keys and pack bodies are
-#: canonical JSON: an unsorted dump there would fork the key space.
+#: covers the result cache (``fleet/resultcache.py``), whose keys and
+#: pack bodies are canonical JSON: an unsorted dump there would fork
+#: the key space.
 DET_ORDER_SCOPE = ("core", "fleet", "serve", "analysis/incremental.py")
 #: Memoization rules also cover the crypto kernels (PR 4 hot paths).
 DET_CACHE_SCOPE = DET_SCOPE + ("crypto",)

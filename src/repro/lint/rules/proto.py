@@ -4,14 +4,14 @@ The paper's diagnosis coverage rests on three registries staying in
 lockstep: the standardized cause tables (``nas/causes.py``) must all be
 carried by the on-card applet registry (``core/applet.py`` §4.3.1),
 every NAS message class must be round-trip-registered in the codec
-(``nas/codec.py``), every Table 3 reset primitive must be handled
-by the decision logic (``core/decision.py``), and every fleet frame
-type must be encode/decode-registered (``fleet/frames.py``). These are
-whole-tree
-invariants no single-file check can see, so they run as project rules:
-each locates its subject modules by path suffix and silently skips
-when the linted tree does not contain them (linting a subtree stays
-meaningful).
+(``nas/codec.py``), and every Table 3 reset primitive must be handled
+by the decision logic (``core/decision.py``). The fleet adds one more
+cross-file contract: the result cache's key builder
+(``fleet/resultcache.py``) may read only fingerprint-stable task
+fields. These are whole-tree invariants no single-file check can see,
+so they run as project rules: each locates its subject modules by path
+suffix and silently skips when the linted tree does not contain them
+(linting a subtree stays meaningful).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ MESSAGES_PATH = "nas/messages.py"
 CODEC_PATH = "nas/codec.py"
 RESET_PATH = "core/reset.py"
 DECISION_PATH = "core/decision.py"
-FRAMES_PATH = "fleet/frames.py"
 RESULTCACHE_PATH = "fleet/resultcache.py"
 
 #: Constructor helpers of the cause tables, by plane.
@@ -294,40 +293,6 @@ def proto004_duplicate_causes(project: Project) -> Iterator[Finding]:
                 seen[code] = lineno
 
 
-def _frame_type_members(tree: ast.Module) -> list[tuple[str, int]]:
-    """Uppercase members of the FrameType enum, with line numbers."""
-    members: list[tuple[str, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "FrameType":
-            for statement in node.body:
-                if isinstance(statement, ast.Assign):
-                    for target in statement.targets:
-                        if isinstance(target, ast.Name) and target.id.isupper():
-                            members.append((target.id, statement.lineno))
-    return members
-
-
-def _frame_table_keys(tree: ast.Module, table_name: str) -> set[str] | None:
-    """``FrameType.X`` keys of a registry dict literal; None if absent."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        if not any(
-            isinstance(target, ast.Name) and target.id == table_name
-            for target in node.targets
-        ):
-            continue
-        if isinstance(node.value, ast.Dict):
-            return {
-                key.attr
-                for key in node.value.keys
-                if isinstance(key, ast.Attribute)
-                and isinstance(key.value, ast.Name)
-                and key.value.id == "FrameType"
-            }
-    return None
-
-
 #: TaskSpec fields a result-cache key may legally depend on — the
 #: fingerprint-stable simulation coordinates. Everything else on a
 #: TaskSpec (``task_id``, ``replica``) is a plan coordinate, and
@@ -398,38 +363,3 @@ def proto006_cache_key_purity(project: Project) -> Iterator[Finding]:
                 f"fingerprint-stable simulation coordinate (allowed: "
                 f"{', '.join(sorted(_STABLE_TASK_FIELDS))})",
             )
-
-
-@rule(
-    "PROTO005",
-    "every FrameType member must appear in BOTH frame registries "
-    "(_ENCODERS and _DECODERS in fleet/frames.py) — an encoder without "
-    "its decoder is a one-way wire format",
-    project=True,
-)
-def proto005_frame_registries(project: Project) -> Iterator[Finding]:
-    frames = project.find(FRAMES_PATH)
-    if frames is None or frames.tree is None:
-        return
-    members = _frame_type_members(frames.tree)
-    if not members:
-        return
-    for table_name in ("_ENCODERS", "_DECODERS"):
-        keys = _frame_table_keys(frames.tree, table_name)
-        if keys is None:
-            yield Finding(
-                frames.path, 1, 0, "PROTO005",
-                f"{FRAMES_PATH} defines FrameType but no {table_name} dict "
-                f"literal; frame dispatch cannot be statically verified",
-            )
-            continue
-        for member, lineno in members:
-            if member not in keys:
-                yield Finding(
-                    frames.path, lineno, 0, "PROTO005",
-                    f"FrameType.{member} has no {table_name} entry; the "
-                    f"frame can be "
-                    + ("decoded but never produced"
-                       if table_name == "_ENCODERS"
-                       else "produced but never decoded"),
-                )

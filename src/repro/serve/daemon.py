@@ -54,7 +54,6 @@ class ServeDaemon:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         retries: int = 2,
-        warm: bool = True,
         executor: str = "auto",
         cache: bool | None = None,
         cache_dir: str | Path | None = None,
@@ -65,8 +64,7 @@ class ServeDaemon:
         # service root next to the registry.
         self.cache = resolve_cache(cache, cache_dir,
                                    default_dir=self.root / "resultcache")
-        self.pool = (WorkerPool(workers, cache=self.cache)
-                     if warm and workers > 1 else None)
+        self.pool = WorkerPool(workers, cache=self.cache) if workers > 1 else None
         self.workers = workers
         self.executor = executor
         self.registry = RunRegistry(self.root / "registry")

@@ -31,14 +31,15 @@ from repro.testbed.scenarios import (
 def preload() -> None:
     """Pre-import the full scenario stack into this process.
 
-    The pool initializer for warm fleet workers
-    (:class:`repro.fleet.pool.WorkerPool`): spawn-started workers pay
-    the testbed import chain (core, device, infra, nas, sim_card,
+    Every fleet pool worker runs it at start, through the one
+    :class:`repro.fleet.pool.WorkerPool` initializer
+    (:func:`repro.fleet.worker.preload_plan`), so workers pay the
+    testbed import chain (core, device, infra, nas, sim_card,
     transport, crypto) and the hot-path table builds (AES T-tables,
     precompiled NAS encoders) once at pool creation instead of on
     their first shard. Warming only populates caches that are
-    byte-exact by construction (PR 4's guarantee), so a preloaded
-    worker and a cold worker produce identical shard results.
+    byte-exact by construction, so a preloaded worker and a cold
+    worker produce identical shard results.
     """
     import repro.fleet.worker  # noqa: F401  (pulls the whole run_shard chain)
 

@@ -1,22 +1,22 @@
-"""Zero-overhead dispatch: frames, resident plans, executor modes,
-cohort chunking, and the buffered checkpoint writer.
+"""Dispatch: executor modes, the sweep's own pool, cohort chunking,
+and the buffered checkpoint writer.
 
 The invariant every parity test pins: ``aggregate.json`` is
-byte-identical across executor modes (inline vs pool), wire formats
-(binary frames vs legacy pickled dicts), cohort chunkings (K ∈ {1, 2,
-4}), and worker counts — dispatch mechanics must never be observable
-in results.
+byte-identical across executor modes (inline vs pool), pool owners
+(the sweep's own vs a shared warm one), shard functions, cohort
+chunkings (K ∈ {1, 2, 4}), and worker counts — dispatch mechanics must
+never be observable in results.
 """
 
-import pickle
+import multiprocessing
+import os
+from functools import partial
 
 import pytest
 
-from repro.fleet import FleetRunner, WorkerPool, canonical_json
-from repro.fleet import frames
+from repro.fleet import FleetRunner, WorkerPool
 from repro.fleet.checkpoint import Checkpoint
 from repro.fleet.planner import (
-    Shard,
     chunk_cohorts,
     estimated_plan_cost,
     plan_from_spec,
@@ -27,8 +27,7 @@ from repro.fleet.pool import (
     execute_plan,
     resolve_executor,
 )
-from repro.fleet import worker
-from repro.fleet.worker import install_plan, run_frame, run_shard
+from repro.fleet.worker import run_shard
 from repro.testbed.harness import HandlingMode
 
 
@@ -42,7 +41,7 @@ def cohort_plan(chunks=1, cohort_size=4):
 
 
 def tiny_plan():
-    """One single-task shard (the cheapest real frame payload)."""
+    """One single-task shard (the cheapest real payload)."""
     return plan_matrix(
         scenario_patterns=["cp_timeout_transient"],
         modes=[HandlingMode.SEED_R], replicas=1, master_seed=5, shard_size=1)
@@ -56,7 +55,15 @@ def aggregate_bytes(tmp_path, name, plan, **runner_kwargs):
 
 
 def _proxy_shard(payload):
-    """Picklable non-default shard_fn: forces the legacy dict wire."""
+    """Picklable non-default shard_fn (the result cache ignores it)."""
+    return run_shard(payload)
+
+
+def _exit_once(marker, payload):
+    """Kill the worker on shard 0's first attempt; later attempts run."""
+    if payload["shard_id"] == 0 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
     return run_shard(payload)
 
 
@@ -73,7 +80,7 @@ class TestAggregateParity:
 
     def test_pool_frames_and_chunking_match_inline(self, tmp_path):
         reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
-        # frame wire, forced pool, cold executors, 1 and 4 chunks
+        # forced pool, the sweep's own pool, 1 and 4 chunks
         assert aggregate_bytes(tmp_path, "p1", cohort_plan(1),
                                workers=2, executor="pool") == reference
         assert aggregate_bytes(tmp_path, "p4", cohort_plan(4),
@@ -84,7 +91,7 @@ class TestAggregateParity:
 
     def test_legacy_dict_wire_matches_frames(self, tmp_path):
         reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
-        # a non-default shard_fn falls back to the pickled-dict path
+        # a non-default shard_fn crosses the same wire as run_shard
         assert aggregate_bytes(tmp_path, "legacy", cohort_plan(1), workers=2,
                                executor="pool", shard_fn=_proxy_shard,
                                ) == reference
@@ -92,11 +99,26 @@ class TestAggregateParity:
     def test_warm_pool_frames_match_inline(self, tmp_path):
         reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
         with WorkerPool(2) as pool:
-            # in-band resident install (blob + PLAN_MISS backstop): the
-            # warm pool's workers have no plan-specific initializer
+            # a caller-owned pool: spawn-started, outlives the sweep
             assert aggregate_bytes(tmp_path, "warm", cohort_plan(4),
                                    pool=pool, executor="pool") == reference
             assert pool.executors_spawned == 1
+
+
+class TestSweepPool:
+    def test_killed_worker_recovers_in_round_two(self, tmp_path):
+        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(4), workers=1)
+        out = tmp_path / "pooled"
+        report = FleetRunner(
+            cohort_plan(4), out_dir=str(out), workers=2, executor="pool",
+            shard_fn=partial(_exit_once, str(tmp_path / "marker")),
+        ).run()
+        assert report.complete, report.failed_shards
+        assert (tmp_path / "marker").exists()
+        # the broken executor cost one attempt; round 2 finished the sweep
+        assert max(report.shard_attempts.values()) == 2
+        assert (out / "aggregate.json").read_bytes() == reference
+        assert multiprocessing.active_children() == []
 
 
 class TestExecutorResolution:
@@ -125,154 +147,6 @@ class TestExecutorResolution:
     def test_outcome_reports_resolved_mode(self, tmp_path):
         outcome = execute_plan(tiny_plan(), workers=4, executor="auto")
         assert outcome.executor_mode == "inline"
-
-
-# ---------------------------------------------------------------------------
-# Frame codec
-# ---------------------------------------------------------------------------
-FP = "0123456789abcdef"
-
-
-def sample_frames():
-    task = frames.TaskFrame(
-        fingerprint=FP,
-        shards=((0, ((0, 2**64 - 1), (1, 0))), (3, ((7, 12345),))),
-        plan_blob=None)
-    task_blob = frames.TaskFrame(
-        fingerprint=FP, shards=((1, ((2, 9),)),), plan_blob=b"\x00blob\xff")
-    result = frames.ResultFrame(
-        fingerprint=FP, pid=4242, shards=(
-            frames.ShardOutcome(
-                shard_id=0,
-                records=(frames.PackedRecord(
-                    task_id=0, duration=12.5, recovered=True, timed=True,
-                    notified_user=False, handled=True, elided_events=31),),
-                learning=(("200", (("B1_MODEM_RESET", 2),
-                                   ("B3_DPLANE_RESET", 5))),)),
-            frames.ShardOutcome(shard_id=3, error="RuntimeError: boom\ntb"),
-        ))
-    miss = frames.PlanMissFrame(fingerprint=FP, pid=99)
-    return [task, task_blob, result, miss]
-
-
-class TestFrameCodec:
-    def test_round_trips(self):
-        for payload in sample_frames():
-            assert frames.decode_frame(frames.encode_frame(payload)) == payload
-
-    def test_every_offset_truncation_raises(self):
-        for payload in sample_frames():
-            data = frames.encode_frame(payload)
-            for cut in range(len(data)):
-                with pytest.raises(frames.FrameError):
-                    frames.decode_frame(data[:cut])
-
-    def test_trailing_garbage_raises(self):
-        data = frames.encode_frame(sample_frames()[0])
-        with pytest.raises(frames.FrameError):
-            frames.decode_frame(data + b"x")
-
-    def test_corrupt_header_raises(self):
-        data = bytearray(frames.encode_frame(sample_frames()[-1]))
-        for offset, value in ((0, ord("X")),   # magic
-                              (2, 99),         # version
-                              (3, 77)):        # unregistered frame type
-            corrupt = bytearray(data)
-            corrupt[offset] = value
-            with pytest.raises(frames.FrameError):
-                frames.decode_frame(bytes(corrupt))
-
-    def test_plan_blob_round_trip(self):
-        plan = cohort_plan()
-        decoded = frames.decode_plan_blob(frames.encode_plan_blob(plan))
-        assert decoded.fingerprint() == plan.fingerprint()
-        assert decoded.shards == plan.shards
-        with pytest.raises(frames.FrameError):
-            frames.decode_plan_blob(b"not zlib")
-
-    def test_registries_cover_every_frame_type(self):
-        # the runtime guarantee behind seedlint's PROTO005
-        assert set(frames._ENCODERS) == set(frames.FrameType)
-        assert set(frames._DECODERS) == set(frames.FrameType)
-
-
-class TestRecordInflation:
-    def test_pack_inflate_is_identity_on_real_records(self):
-        plan = tiny_plan()
-        ctx = frames.PlanContext(plan)
-        result = run_shard(plan.shards[0].to_json())
-        for record in result["tasks"]:
-            assert ctx.inflate_record(frames.pack_record(record)) == record
-
-    def test_inflate_shard_matches_dict_path(self):
-        plan = tiny_plan()
-        ctx = frames.PlanContext(plan)
-        expected = run_shard(plan.shards[0].to_json())
-        reply = frames.decode_frame(
-            run_frame(ctx.task_frame([0], with_blob=True)))
-        assert isinstance(reply, frames.ResultFrame)
-        [outcome] = reply.shards
-        assert ctx.inflate_shard(outcome) == expected
-
-    def test_task_frame_at_least_3x_smaller_than_pickled_shard(self):
-        plan = cohort_plan()
-        ctx = frames.PlanContext(plan)
-        shard_ids = [s.shard_id for s in plan.shards]
-        frame = ctx.task_frame(shard_ids, with_blob=False)
-        pickled = sum(len(pickle.dumps(s.to_json())) for s in plan.shards)
-        assert len(frame) * 3 <= pickled
-
-
-class TestResidentPlans:
-    def test_plan_miss_then_install(self):
-        plan = tiny_plan()
-        ctx = frames.PlanContext(plan)
-        worker._RESIDENT.clear()
-        reply = frames.decode_frame(
-            run_frame(ctx.task_frame([0], with_blob=False)))
-        assert isinstance(reply, frames.PlanMissFrame)
-        assert reply.fingerprint == ctx.fingerprint
-        # the resubmission carries the blob; now resident, work proceeds
-        reply = frames.decode_frame(
-            run_frame(ctx.task_frame([0], with_blob=True)))
-        assert isinstance(reply, frames.ResultFrame)
-        # and the plan stays resident for blob-free follow-ups
-        reply = frames.decode_frame(
-            run_frame(ctx.task_frame([0], with_blob=False)))
-        assert isinstance(reply, frames.ResultFrame)
-
-    def test_fingerprint_mismatch_rejected(self):
-        blob = frames.encode_plan_blob(tiny_plan())
-        with pytest.raises(frames.FrameError):
-            install_plan(blob, "f" * 16)
-
-    def test_resident_cache_evicts_oldest(self):
-        worker._RESIDENT.clear()
-        plans = [plan_matrix(scenario_patterns=["cp_timeout_transient"],
-                             modes=[HandlingMode.SEED_R], replicas=1,
-                             master_seed=seed, shard_size=1)
-                 for seed in range(worker._RESIDENT_CAP + 1)]
-        for plan in plans:
-            install_plan(frames.encode_plan_blob(plan), plan.fingerprint())
-        assert len(worker._RESIDENT) == worker._RESIDENT_CAP
-        assert plans[0].fingerprint() not in worker._RESIDENT
-        assert plans[-1].fingerprint() in worker._RESIDENT
-
-    def test_wire_resident_divergence_is_an_error_outcome(self):
-        plan = tiny_plan()
-        ctx = frames.PlanContext(plan)
-        worker._RESIDENT.clear()
-        install_plan(ctx.blob, ctx.fingerprint)
-        # tamper with the wire seed: the worker must refuse, not run
-        task = plan.shards[0].tasks[0]
-        bad = frames.encode_frame(frames.TaskFrame(
-            fingerprint=ctx.fingerprint,
-            shards=((0, ((task.task_id, task.seed + 1),)),)))
-        reply = frames.decode_frame(run_frame(bad))
-        assert isinstance(reply, frames.ResultFrame)
-        [outcome] = reply.shards
-        assert outcome.error is not None
-        assert "divergence" in outcome.error
 
 
 # ---------------------------------------------------------------------------

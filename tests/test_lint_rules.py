@@ -22,8 +22,7 @@ PER_FILE_RULES = (
     "SAFE001", "SAFE002", "SAFE003", "SAFE004",
     "CONC001", "CONC002", "CONC003",
 )
-PROTO_RULES = ("PROTO001", "PROTO002", "PROTO003", "PROTO004", "PROTO005",
-               "PROTO006")
+PROTO_RULES = ("PROTO001", "PROTO002", "PROTO003", "PROTO004", "PROTO006")
 WHOLE_PROGRAM_RULES = ("DET007",)
 META_RULES = ("META001",)
 
@@ -62,8 +61,6 @@ class TestFixtureCorpus:
         assert by_rule["PROTO002"] == 2
         assert by_rule["PROTO003"] == 1
         assert by_rule["PROTO004"] == 1
-        # PLAN_MISS lacks its encoder, RESULT its decoder.
-        assert by_rule["PROTO005"] == 2
         # One context parameter leak, one task_id attribute read.
         assert by_rule["PROTO006"] == 2
 

@@ -69,7 +69,7 @@ class TestFleetWithSeed:
         )
         # Recycle the victim's service so the failure manifests.
         core.amf.force_deregister(victim.supi)
-        core._purge_sessions(victim.supi)
+        core.purge_sessions(victim.supi)
         victim.modem._abort_all_procedures()
         victim.modem.start_registration()
         sim.run(until=30.0)

@@ -282,13 +282,6 @@ class TestPurgeSessionsApi:
         testbed.core.purge_sessions(supi)
         assert not testbed.core.upf.active_sessions(supi)
 
-    def test_deprecated_alias_delegates(self):
-        testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
-        testbed.warm_up()
-        supi = testbed.device.supi
-        testbed.core._purge_sessions(supi)  # pre-PR-5 name still works
-        assert not testbed.core.upf.active_sessions(supi)
-
     def test_amf_cleanup_hook_uses_public_name(self):
         testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
         assert testbed.core.amf.cleanup_hook == testbed.core.purge_sessions

@@ -8,7 +8,9 @@ at one worker and at four.
 
 import json
 import os
+import signal
 import threading
+import time
 
 from repro.analysis.incremental import AggregateState
 from repro.fleet import FleetRunner, WorkerPool, canonical_json, execute_plan
@@ -258,7 +260,7 @@ class TestPoolDiscard:
     (no orphaned worker bookkeeping) before the next round rebuilds."""
 
     def test_discard_shuts_down_and_rebuilds(self):
-        pool = WorkerPool(workers=1, initializer=None)
+        pool = WorkerPool(workers=1)
         first = pool.executor()
         assert pool.executors_spawned == 1
         pool.discard()
@@ -275,7 +277,7 @@ class TestPoolDiscard:
         pool.shutdown()
 
     def test_discard_without_executor_is_harmless(self):
-        pool = WorkerPool(workers=1, initializer=None)
+        pool = WorkerPool(workers=1)
         pool.discard()
         assert pool._executor is None
         assert pool.executors_spawned == 0
@@ -292,6 +294,11 @@ def _fail_dp_shards(payload):
 def _crash_worker(payload):
     """Shard fn that kills its worker process (breaks the executor)."""
     os._exit(1)
+
+
+def _relay_shard(payload):
+    """Picklable non-default shard fn that runs the shard unchanged."""
+    return run_shard(payload)
 
 
 class TestPoolRebuild:
@@ -319,6 +326,29 @@ class TestPoolRebuild:
             assert pool.executors_spawned == 2
         assert not outcome.results
         assert set(outcome.failed) == {s.shard_id for s in plan.shards}
+
+    def test_idle_worker_death_does_not_fail_next_sweep(self, tmp_path):
+        plan = plan_from_spec(SPEC)
+
+        def sweep(pool, name):
+            out = tmp_path / name
+            report = FleetRunner(plan, out_dir=str(out), pool=pool,
+                                 executor="pool", shard_fn=_relay_shard).run()
+            assert report.complete, report.failed_shards
+            return (out / "aggregate.json").read_bytes()
+
+        with WorkerPool(2) as pool:
+            first = sweep(pool, "first")
+            executor = pool.executor()
+            victim = next(iter(executor._processes.values()))
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while not executor._broken:
+                assert time.monotonic() < deadline, "executor never broke"
+                time.sleep(0.01)
+            # submit() now refuses work: that round is lost, not the sweep
+            assert sweep(pool, "second") == first
+            assert pool.executors_spawned == 2
 
 
 class TestRegistryOrdering:
