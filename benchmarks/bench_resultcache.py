@@ -13,8 +13,8 @@ Measures what the content-addressed result cache buys:
 * ``key_derivation`` — cache keys/s (sha256 over the canonical key
   material; pure CPU, no I/O);
 * ``store`` / ``lookup`` — single-entry write-back and hit rates
-  through the pack codec (encode+fsync-free atomic rename, and
-  read+verify+decode respectively).
+  through the frame codec (encode + one fsync-free append to the
+  writer's log, and read + verify + decode respectively).
 
 The sweep benches also assert byte parity: the warm aggregate must be
 byte-identical to the cold one (which the unit suite pins against the
@@ -133,12 +133,6 @@ def _bench_store_lookup(root: Path, iterations: int) -> tuple[dict, dict]:
                       handling=MICRO_TASK.handling, seed=i)
              for i in range(iterations)]
 
-    # Untimed warm-up: the first store per key prefix pays a mkdir and
-    # first-touch costs that swamp the steady-state rate; the timed
-    # pass measures overwrites (what a busy cache actually does).
-    for task in tasks:
-        cache.store(task, MICRO_RECORD, MICRO_LEARNING)
-
     started = time.perf_counter()
     for task in tasks:
         if not cache.store(task, MICRO_RECORD, MICRO_LEARNING):
@@ -154,7 +148,7 @@ def _bench_store_lookup(root: Path, iterations: int) -> tuple[dict, dict]:
     return (
         {"n": iterations, "seconds": round(store_seconds, 4),
          "rate": round(iterations / store_seconds, 2),
-         "unit": "entries/s (encode + atomic rename)"},
+         "unit": "entries/s (encode + append)"},
         {"n": iterations, "seconds": round(lookup_seconds, 4),
          "rate": round(iterations / lookup_seconds, 2),
          "unit": "entries/s (read + verify + decode)"},

@@ -374,7 +374,10 @@ def _partition_cached(
     """Serve cache hits before dispatch; returns (residual plan, extras).
 
     Every pending task (checkpoint-restored shards are never probed) is
-    looked up in the cache. Fully cached shards are completed on the
+    looked up in the cache, after one index refresh that picks up what
+    pool workers and other processes appended since the last sweep — one
+    directory scan per sweep, never one per task. This is the only place
+    a sweep reads the cache. Fully cached shards are completed on the
     spot — result synthesized from the stored records, checkpointed,
     streamed through ``on_shard`` — and dropped from the residual plan.
     Partially cached shards shrink (:func:`residual_plan`); their
@@ -383,6 +386,7 @@ def _partition_cached(
     """
     if cache is None:
         return plan, {}
+    cache.refresh()
     hits: dict[int, tuple[dict, dict]] = {}
     probed = 0
     for shard in plan.shards:

@@ -20,20 +20,23 @@ record bytes (PROTO006 pins this statically).
 Each entry stores the exact legacy checkpoint record plus the task's
 learning-state wire form, so aggregates folded from hits are
 byte-identical to recomputed ones by construction. Entries are
-single-file binary packs written via temp-file + ``os.replace``:
-atomic under concurrent workers and concurrent daemons (last writer
-wins, and both writers produce identical bytes anyway). A corrupt,
-truncated, or wrong-version entry degrades to a miss — never an
-error.
+checksummed frames in append-only logs, one log per writer process::
 
-Layout::
+    <root>/<generation>/<pid>-<seq>.log
 
-    <root>/<generation>/<key[:2]>/<key>.rc
+where ``generation`` is the code fingerprint. A store is one
+``os.write`` through the process's ``O_APPEND`` descriptor, so pool
+workers and concurrent daemons never share a file and need no locks.
+The dispatching process indexes the logs in memory, reading only the
+bytes appended since its last :meth:`ResultCache.refresh`, so a lookup
+is one dict probe, plus two ``pread`` calls and a full verify on a
+hit. A corrupt, torn, or wrong-version frame degrades to a miss —
+never an error.
 
-where ``generation`` is the code fingerprint, giving generation-based
-eviction for free: :meth:`ResultCache.prune` drops dead generations
-first, then oldest entries of the live one until under the size bound
-(``REPRO_RESULT_CACHE_MAX_MB``, default 512).
+Generation directories give eviction for free: :meth:`ResultCache.prune`
+sums log sizes, drops dead generations first, then the live one's
+oldest logs until under the size bound (``REPRO_RESULT_CACHE_MAX_MB``,
+default 512).
 """
 
 from __future__ import annotations
@@ -42,22 +45,39 @@ import hashlib
 import json
 import logging
 import os
+import shutil
+import struct
+import weakref
 import zlib
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 from repro.fleet.planner import TaskSpec
 
 log = logging.getLogger(__name__)
 
-#: Pack-file framing: magic + version byte + u32 body length + body
-#: sha256 + zlib(canonical JSON). Bump the version on any layout
-#: change — old entries then read as misses, not garbage.
+#: Frame header: magic, version byte, the raw 32-byte key, u32 body
+#: length and the body's sha256; the body is zlib(canonical JSON). Bump
+#: the version on any layout change — old frames then read as misses
+#: and end an index scan, never garbage.
 MAGIC = b"SEEDRC"
-VERSION = 1
-_HEADER_LEN = len(MAGIC) + 1 + 4 + 32
+VERSION = 2
+_HEADER = struct.Struct("<6sB32sI32s")
 
-ENTRY_SUFFIX = ".rc"
+LOG_SUFFIX = ".log"
+_APPEND_FLAGS = os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_EXCL
+
+#: The index maps the first 7 key bytes to ``offset << 32 | log id``.
+#: Both ints stay below 2**60 (logs under 256 MiB), CPython's 32-byte
+#: two-digit int, which keeps the index near 100 B per cached task. A
+#: prefix collision costs a miss, never a wrong hit: a hit verifies the
+#: full key.
+_PREFIX_BYTES = 7
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+#: Read buffer of the header-only log scans.
+_SCAN_BUFFER = 1 << 16
 
 #: Packages whose sources define the deterministic surface: anything
 #: that can change a task record lives under one of these. fleet/serve
@@ -96,8 +116,10 @@ def code_fingerprint() -> str:
     package_root = Path(__file__).resolve().parent.parent
     digest = hashlib.sha256()
     for package in DETERMINISTIC_PACKAGES:
-        base = package_root / package
-        for path in sorted(base.rglob("*.py")):
+        sources = sorted(Path(directory, name) for directory, _, names
+                         in os.walk(package_root / package)
+                         for name in names if name.endswith(".py"))
+        for path in sources:
             digest.update(str(path.relative_to(package_root)).encode())
             digest.update(b"\x00")
             digest.update(path.read_bytes())
@@ -125,34 +147,40 @@ def task_key(task: TaskSpec, code: str) -> str:
 
 
 def _encode_entry(key: str, record: dict, learning: dict) -> bytes:
-    """One pack file: framed, checksummed, compressed canonical JSON."""
+    """One frame: checksummed header + compressed canonical JSON."""
     body = zlib.compress(json.dumps(
         {"key": key, "learning": learning, "record": record},
         sort_keys=True, separators=(",", ":")).encode())
-    return (MAGIC + bytes((VERSION,))
-            + len(body).to_bytes(4, "little")
-            + hashlib.sha256(body).digest()
-            + body)
+    return _HEADER.pack(MAGIC, VERSION, bytes.fromhex(key), len(body),
+                        hashlib.sha256(body).digest()) + body
 
 
-def _decode_entry(data: bytes, key: str) -> tuple[dict, dict] | None:
-    """(record, learning) from pack bytes; ``None`` for any damage.
+def _read_entry(path: str, offset: int, key: str) -> tuple[dict, dict] | None:
+    """(record, learning) of the frame at ``offset``; ``None`` for any damage.
 
-    Every failure mode — short read, bad magic, version skew, length
-    mismatch, checksum mismatch, undecodable body, key mismatch — is a
-    miss by contract, so a torn or corrupted entry costs one recompute,
-    never a run.
+    Every failure mode — unreadable log, short read, bad magic, version
+    skew, a key mismatch in header or body, length or checksum
+    mismatch, undecodable body — is a miss by contract, so a torn or
+    corrupted frame costs one recompute, never a run.
     """
-    if len(data) < _HEADER_LEN or not data.startswith(MAGIC):
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
         return None
-    offset = len(MAGIC)
-    if data[offset] != VERSION:
+    try:
+        header = os.pread(fd, _HEADER.size, offset)
+        if len(header) != _HEADER.size:
+            return None
+        magic, version, raw_key, body_len, checksum = _HEADER.unpack(header)
+        start = offset + _HEADER.size
+        if (magic != MAGIC or version != VERSION or raw_key.hex() != key
+                or start + body_len > os.fstat(fd).st_size):
+            return None
+        body = os.pread(fd, body_len, start)
+    except OSError:
         return None
-    offset += 1
-    body_len = int.from_bytes(data[offset:offset + 4], "little")
-    offset += 4
-    checksum = data[offset:offset + 32]
-    body = data[offset + 32:]
+    finally:
+        os.close(fd)
     if len(body) != body_len or hashlib.sha256(body).digest() != checksum:
         return None
     try:
@@ -166,15 +194,99 @@ def _decode_entry(data: bytes, key: str) -> tuple[dict, dict] | None:
     return entry["record"], entry["learning"]
 
 
+def _frames(path: str, start: int, end: int) -> Iterator[tuple[int, bytes, int]]:
+    """``(offset, raw key, body length)`` of each whole frame in
+    ``[start, end)`` of a log.
+
+    Reads headers only: bodies are skipped, never inflated. Stops at
+    the first frame that runs past ``end`` (a torn tail, or one still
+    being appended) or is not a current-version frame; an unreadable
+    log yields nothing.
+    """
+    try:
+        reader = open(path, "rb", buffering=_SCAN_BUFFER)
+    except OSError:
+        return
+    with reader:
+        try:
+            reader.seek(start)
+            while start + _HEADER.size <= end:
+                header = reader.read(_HEADER.size)
+                if len(header) != _HEADER.size:
+                    return
+                magic, version, raw_key, body_len, _ = _HEADER.unpack(header)
+                stop = start + _HEADER.size + body_len
+                if magic != MAGIC or version != VERSION or stop > end:
+                    return
+                yield start, raw_key, body_len
+                reader.seek(body_len, os.SEEK_CUR)
+                start = stop
+        except OSError:
+            return
+
+
+def _count_frames(path: str, size: int) -> int:
+    return sum(1 for _ in _frames(path, 0, size))
+
+
+def _scan(directory: str) -> tuple[list[tuple[str, os.stat_result]], list[str]]:
+    """``(name, stat)`` of each log in ``directory``, by name, and the
+    paths of its subdirectories.
+
+    One ``os.scandir`` and one ``stat`` per log. A missing directory
+    lists as empty; an entry that vanishes between the listing and its
+    ``stat`` is skipped.
+    """
+    try:
+        with os.scandir(directory) as listing:
+            entries = sorted(listing, key=lambda entry: entry.name)
+    except OSError:
+        return [], []
+    logs, subdirs = [], []
+    for entry in entries:
+        try:
+            if entry.name.endswith(LOG_SUFFIX):
+                logs.append((entry.name, entry.stat()))
+            elif entry.is_dir(follow_symlinks=False):
+                subdirs.append(entry.path)
+        except OSError:
+            continue
+    return logs, subdirs
+
+
+class _Log:
+    """What the index knows of one log: its id, inode and indexed length."""
+
+    __slots__ = ("id", "inode", "indexed")
+
+    def __init__(self, log_id: int, inode: int) -> None:
+        self.id = log_id
+        self.inode = inode
+        self.indexed = 0
+
+
 class ResultCache:
     """On-disk content-addressed store of completed task results.
 
-    Stateless and picklable (root path + generation string + bound):
-    the same instance is shipped to pool workers for write-back and
-    shared across every job of a serve daemon. All coordination is the
-    filesystem's — atomic renames for writes, whole-file reads for
-    lookups — so concurrent writers and concurrent daemons need no
-    locks (identical keys hold identical bytes; last writer wins).
+    **Writers.** Every process that stores — a pool worker, the inline
+    executor, another daemon on the same root — appends to a log of its
+    own through one lazily opened ``O_APPEND`` descriptor, named from
+    its pid and a sequence number. A forked pool worker inherits this
+    object, descriptor included; the changed ``os.getpid()`` makes it
+    close the inherited descriptor and open its own log, so no two
+    processes ever write one file. Pickling keeps only ``(root,
+    generation, max_bytes)``: a spawned worker starts with a fresh
+    writer and an empty index. A writer also moves to a new log once
+    prune has unlinked its current one or that one has passed
+    ``max_bytes // 16`` bytes, which keeps eviction fine-grained.
+
+    **Reader.** The index lives in the dispatching process, the only
+    one that looks anything up (``pool._partition_cached``, which
+    refreshes it once per sweep). Only the dispatching thread — the
+    queue thread, in serve — may call :meth:`lookup`, :meth:`refresh`
+    and :meth:`prune` or store through the inline executor, so the
+    index needs no lock. It maps a key prefix to one packed int per
+    cached task, about 100 B each.
 
     ``code_version`` overrides the computed :func:`code_fingerprint`
     (tests force generation bumps with it); ``max_bytes`` bounds
@@ -196,12 +308,29 @@ class ResultCache:
             max_bytes = (int(env_mb) * 1024 * 1024 if env_mb
                          else DEFAULT_MAX_BYTES)
         self.max_bytes = max_bytes
+        self._dir = os.path.join(self.root, self.generation)
+        # Reader: key prefix -> offset << 32 | log id, plus per-log state.
+        self._index: dict[int, int] = {}
+        self._logs: dict[str, _Log] = {}
+        self._names: dict[int, str] = {}
+        self._next_id = 0
+        self._refreshed = False
+        # Writer: the log this process appends to (``_pid`` owns ``_fd``).
+        self._fd: int | None = None
+        self._closer: weakref.finalize | None = None
+        self._pid: int | None = None
+        self._seq = 0
+        self._log: _Log | None = None
+
+    def __getstate__(self) -> tuple:
+        return self.root, self.generation, self.max_bytes
+
+    def __setstate__(self, state: tuple) -> None:
+        root, generation, max_bytes = state
+        self.__init__(root, code_version=generation, max_bytes=max_bytes)
 
     def key(self, task: TaskSpec) -> str:
         return task_key(task, self.generation)
-
-    def entry_path(self, key: str) -> Path:
-        return self.root / self.generation / key[:2] / (key + ENTRY_SUFFIX)
 
     # -- lookups -------------------------------------------------------
     def lookup(self, task: TaskSpec) -> tuple[dict, dict] | None:
@@ -211,59 +340,148 @@ class ResultCache:
         task's id — the one plan coordinate a record carries — so a hit
         from any prior sweep drops into this plan's aggregate order.
         """
+        if not self._refreshed:
+            self.refresh()
         key = self.key(task)
-        try:
-            data = self.entry_path(key).read_bytes()
-        except OSError:
+        where = self._index.get(int(key[:2 * _PREFIX_BYTES], 16))
+        if where is None:
             return None
-        entry = _decode_entry(data, key)
+        name = self._names[where & _ID_MASK]
+        entry = _read_entry(os.path.join(self._dir, name), where >> _ID_BITS,
+                            key)
         if entry is None:
             log.debug("result cache: unreadable entry for %s (treated as "
                       "a miss)", key)
             return None
         record, learning = entry
-        record = dict(record)
         record["task_id"] = task.task_id
         return record, learning
 
+    def refresh(self) -> None:
+        """Index every frame appended since the last refresh.
+
+        One ``os.scandir`` plus one ``stat`` per log; only logs that
+        grew are opened, and only their new headers are read. Logs are
+        taken in name order, so a later frame of a key wins. A torn
+        tail ends its log's scan and is retried next time; a log that
+        vanished (evicted) or was replaced is forgotten together with
+        its index entries.
+        """
+        self._refreshed = True
+        logs, _ = _scan(self._dir)
+        inodes = {name: stat.st_ino for name, stat in logs}
+        stale = [name for name, state in self._logs.items()
+                 if inodes.get(name) != state.inode]
+        if stale:
+            self._forget(stale)
+        for name, stat in logs:
+            state = self._logs.get(name) or self._track(name, stat.st_ino)
+            if stat.st_size <= state.indexed:
+                continue
+            for offset, raw_key, body_len in _frames(
+                    os.path.join(self._dir, name), state.indexed,
+                    stat.st_size):
+                prefix = int.from_bytes(raw_key[:_PREFIX_BYTES], "big")
+                self._index[prefix] = offset << _ID_BITS | state.id
+                state.indexed = offset + _HEADER.size + body_len
+
+    def _track(self, name: str, inode: int) -> _Log:
+        if name in self._logs:
+            self._forget([name])  # a new file under a known name
+        state = self._logs[name] = _Log(self._next_id, inode)
+        self._names[state.id] = name
+        self._next_id += 1
+        return state
+
+    def _forget(self, names: list[str]) -> None:
+        gone = [self._logs.pop(name).id for name in names]
+        for log_id in gone:
+            del self._names[log_id]
+        dead = frozenset(gone)
+        self._index = {prefix: where for prefix, where in self._index.items()
+                       if where & _ID_MASK not in dead}
+
     # -- write-back ----------------------------------------------------
     def store(self, task: TaskSpec, record: dict, learning: dict) -> bool:
-        """Persist one completed task; returns whether the write landed.
+        """Append one completed task; returns whether the frame landed.
 
-        Temp-file + ``os.replace`` in the entry's own directory keeps
-        the rename atomic (same filesystem) and concurrent writers
-        safe: a reader sees the old bytes or the new bytes, never a
-        torn file. Failures are best-effort — a cache that cannot
-        write must never fail the sweep.
+        One ``os.write`` of a whole frame, no fsync, no rename: a crash
+        mid-append leaves a torn tail that scans and reads as a miss,
+        and a short write abandons the log so the torn frame stays its
+        tail. Failures are best-effort — a cache that cannot write must
+        never fail the sweep.
         """
         key = self.key(task)
-        path = self.entry_path(key)
-        tmp = path.with_name(f".{key}.{os.getpid()}.tmp")
+        frame = _encode_entry(key, record, learning)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(_encode_entry(key, record, learning))
-            os.replace(tmp, path)
+            fd = self._log_fd()
+            written = os.write(fd, frame)
         except OSError as exc:
             log.debug("result cache: store of %s failed: %s", key, exc)
-            try:
-                tmp.unlink()
-            except OSError:
-                return False
+            self._close_log()
             return False
+        state = self._log
+        offset = state.indexed
+        state.indexed += written
+        if written != len(frame):
+            log.debug("result cache: short append of %s", key)
+            self._close_log()
+            return False
+        self._index[int(key[:2 * _PREFIX_BYTES], 16)] = (
+            offset << _ID_BITS | state.id)
         return True
 
+    def _log_fd(self) -> int:
+        """This process's append descriptor, opening a new log when the
+        current one is inherited from a parent, evicted, or full."""
+        pid = os.getpid()
+        if self._fd is not None and (
+                pid != self._pid
+                or self._log.indexed > self.max_bytes // 16
+                or os.fstat(self._fd).st_nlink == 0):
+            self._close_log()
+        if self._fd is None:
+            os.makedirs(self._dir, exist_ok=True)
+            while True:
+                name = f"{pid}-{self._seq}{LOG_SUFFIX}"
+                self._seq += 1
+                try:
+                    fd = os.open(os.path.join(self._dir, name),
+                                 _APPEND_FLAGS, 0o644)
+                except FileExistsError:
+                    continue  # left behind by an earlier process, same pid
+                break
+            self._fd, self._pid = fd, pid
+            self._closer = weakref.finalize(self, os.close, fd)
+            self._log = self._track(name, os.fstat(fd).st_ino)
+        return self._fd
+
+    def _close_log(self) -> None:
+        if self._closer is not None:
+            self._closer()
+        self._fd = self._closer = self._log = None
+
     # -- bookkeeping ---------------------------------------------------
+    def _generation_names(self) -> list[str]:
+        try:
+            with os.scandir(self.root) as listing:
+                return sorted(entry.name for entry in listing
+                              if entry.is_dir())
+        except OSError:
+            return []
+
     def stats(self) -> dict:
-        """Entry/byte counts per generation (CI artifact material)."""
+        """Frame/byte counts per generation (CI artifact material)."""
         generations: dict[str, dict] = {}
-        if self.root.is_dir():
-            for gen_dir in sorted(p for p in self.root.iterdir()
-                                  if p.is_dir()):
-                entries = sorted(gen_dir.rglob("*" + ENTRY_SUFFIX))
-                generations[gen_dir.name] = {
-                    "entries": len(entries),
-                    "bytes": sum(p.stat().st_size for p in entries),
-                }
+        for gen in self._generation_names():
+            directory = os.path.join(self.root, gen)
+            logs, _ = _scan(directory)
+            generations[gen] = {
+                "entries": sum(
+                    _count_frames(os.path.join(directory, name), stat.st_size)
+                    for name, stat in logs),
+                "bytes": sum(stat.st_size for _, stat in logs),
+            }
         return {
             "root": str(self.root),
             "generation": self.generation,
@@ -274,55 +492,51 @@ class ResultCache:
     def prune(self) -> dict:
         """Enforce the size bound; returns what was evicted.
 
-        Dead generations (any directory that is not the live code
-        fingerprint) go first, oldest name first — they can never hit
-        again under the current code. If the live generation alone
-        still exceeds ``max_bytes``, its entries are dropped in sorted
-        name order until under the bound; content-addressed names make
-        any deterministic order as good as any other.
+        Costs one ``os.scandir`` per generation plus one ``stat`` per
+        log: sizes are summed per log, entries are never walked. A
+        leftover v1 tree (``<gen>/<key[:2]>/*.rc``) can never hit again
+        and always goes — :func:`code_fingerprint` does not hash this
+        module, so one can sit in the live generation. Over the bound,
+        dead generations go first, whole, in name order; then the live
+        generation's oldest logs, by mtime then name, until under it.
+        ``removed_entries`` counts the frames in the evicted logs.
+        Anything that vanishes mid-prune (a concurrent pruner got there
+        first) is skipped, never raised.
         """
+        generations: dict[str, list[tuple[str, os.stat_result]]] = {}
+        for gen in self._generation_names():
+            logs, leftovers = _scan(os.path.join(self.root, gen))
+            for path in leftovers:
+                shutil.rmtree(path, ignore_errors=True)
+            generations[gen] = logs
+        total = sum(stat.st_size for logs in generations.values()
+                    for _, stat in logs)
         removed_generations = 0
         removed_entries = 0
-        if not self.root.is_dir():
-            return {"removed_generations": 0, "removed_entries": 0}
-        gen_dirs = sorted(p for p in self.root.iterdir() if p.is_dir())
-        sizes = {
-            gen.name: sum(p.stat().st_size
-                          for p in gen.rglob("*" + ENTRY_SUFFIX))
-            for gen in gen_dirs
-        }
-        total = sum(sizes.values())
-        for gen in gen_dirs:
+        for gen, logs in generations.items():
             if total <= self.max_bytes:
                 break
-            if gen.name == self.generation:
+            if gen == self.generation:
                 continue
-            for path in sorted(gen.rglob("*"), reverse=True):
-                try:
-                    path.rmdir() if path.is_dir() else path.unlink()
-                except OSError as exc:
-                    log.debug("result cache: prune of %s failed: %s",
-                              path, exc)
-            try:
-                gen.rmdir()
-            except OSError as exc:
-                log.debug("result cache: prune of %s failed: %s", gen, exc)
-            total -= sizes[gen.name]
+            shutil.rmtree(os.path.join(self.root, gen), ignore_errors=True)
+            total -= sum(stat.st_size for _, stat in logs)
             removed_generations += 1
-        live = self.root / self.generation
-        if total > self.max_bytes and live.is_dir():
-            for path in sorted(live.rglob("*" + ENTRY_SUFFIX)):
-                if total <= self.max_bytes:
-                    break
-                size = path.stat().st_size
-                try:
-                    path.unlink()
-                except OSError as exc:
-                    log.debug("result cache: prune of %s failed: %s",
-                              path, exc)
-                    continue
-                total -= size
-                removed_entries += 1
+        oldest_first = sorted(generations.get(self.generation, ()),
+                              key=lambda log: (log[1].st_mtime_ns, log[0]))
+        for name, stat in oldest_first:
+            if total <= self.max_bytes:
+                break
+            path = os.path.join(self._dir, name)
+            frames = _count_frames(path, stat.st_size)
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                frames = 0  # evicted by a concurrent pruner
+            except OSError as exc:
+                log.debug("result cache: prune of %s failed: %s", path, exc)
+                continue
+            total -= stat.st_size
+            removed_entries += frames
         return {"removed_generations": removed_generations,
                 "removed_entries": removed_entries}
 

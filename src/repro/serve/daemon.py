@@ -64,7 +64,11 @@ class ServeDaemon:
         # service root next to the registry.
         self.cache = resolve_cache(cache, cache_dir,
                                    default_dir=self.root / "resultcache")
-        self.pool = WorkerPool(workers, cache=self.cache) if workers > 1 else None
+        # A spawn pool whenever a sweep can resolve to the pool: without
+        # one, each pooled sweep would fork its own pool from the queue
+        # thread while the HTTP handler threads run.
+        self.pool = (WorkerPool(workers, cache=self.cache)
+                     if workers > 1 or executor == "pool" else None)
         self.workers = workers
         self.executor = executor
         self.registry = RunRegistry(self.root / "registry")

@@ -11,7 +11,11 @@ never an error, never a wrong byte.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import os
 import time
+import zlib
 
 import pytest
 
@@ -87,7 +91,8 @@ class TestKeys:
     def test_code_version_override_sets_generation(self, tmp_path):
         cache = ResultCache(tmp_path, code_version="feedface")
         assert cache.generation == "feedface"
-        assert "feedface" in str(cache.entry_path(cache.key(TASK)))
+        cache.store(TASK, RECORD, LEARNING)
+        assert [p.parent.name for p in tmp_path.rglob("*.log")] == ["feedface"]
 
 
 class TestRoundtrip:
@@ -117,9 +122,10 @@ class TestDamage:
     """Every byte of an entry is load-bearing; no damage may raise."""
 
     def entry(self, tmp_path):
+        # The entry is the one frame of the writer's log.
         cache = ResultCache(tmp_path, code_version="g1")
         cache.store(TASK, RECORD, LEARNING)
-        path = cache.entry_path(cache.key(TASK))
+        [path] = (tmp_path / "g1").glob("*.log")
         return cache, path, path.read_bytes()
 
     def test_truncation_at_every_offset_is_a_miss(self, tmp_path):
@@ -155,15 +161,26 @@ class TestDamage:
         cache = ResultCache(tmp_path / "never-created", code_version="g1")
         assert cache.lookup(TASK) is None
 
+    def test_body_naming_another_key_is_a_miss(self, tmp_path):
+        # The header names this task, the checksummed body another one
+        # (a bad copy): both keys must match for a hit.
+        cache, path, _ = self.entry(tmp_path)
+        foreign = _encode_entry("0" * 64, RECORD, LEARNING)
+        key_at = len(b"SEEDRC") + 1
+        path.write_bytes(foreign[:key_at] + bytes.fromhex(cache.key(TASK))
+                         + foreign[key_at + 32:])
+        assert cache.lookup(TASK) is None
+
 
 class TestConcurrentWriters:
     def test_last_writer_wins_and_bytes_stay_whole(self, tmp_path):
         # Two writers racing on one key (two pool workers, or two
-        # daemons sharing a cache dir). Writes are atomic renames, so
-        # the reader sees one writer's bytes in full — and since real
-        # writers produce identical bytes for identical keys, either
-        # answer is correct. Here the payloads differ to observe the
-        # ordering.
+        # daemons sharing a cache dir). Each appends whole frames to a
+        # log of its own, so the reader sees one writer's bytes in full,
+        # and a refresh indexes the later frame over the earlier one —
+        # since real writers produce identical bytes for identical keys,
+        # either answer is correct. Here the payloads differ to observe
+        # the ordering.
         cache_a = ResultCache(tmp_path, code_version="g1")
         cache_b = ResultCache(tmp_path, code_version="g1")
         first = dict(RECORD, disruption_ms=1.0)
@@ -172,7 +189,9 @@ class TestConcurrentWriters:
         assert cache_b.store(TASK, second, LEARNING)
         record, _ = cache_a.lookup(TASK)
         assert record["disruption_ms"] == 2.0
-        assert [p.name for p in tmp_path.rglob("*.tmp")] == []
+        record, _ = ResultCache(tmp_path, code_version="g1").lookup(TASK)
+        assert record["disruption_ms"] == 2.0
+        assert len(list((tmp_path / "g1").glob("*.log"))) == 2
 
 
 class TestResidualPlan:
@@ -325,6 +344,157 @@ class TestEviction:
         evicted = cache.prune()
         assert evicted["removed_entries"] == 4
         assert cache.stats()["generations"]["live"]["entries"] == 0
+
+    def test_entry_vanishing_mid_prune_never_raises(self, tmp_path,
+                                                    monkeypatch):
+        # A second pruner (another daemon on the same root) unlinks an
+        # entry between this pruner's directory listing and its stat.
+        # Prune must shrug that off: FleetRunner prunes before it writes
+        # aggregate.json, and serve marks a job FAILED on any raise.
+        plan = fast_plan()
+        run_once(plan, tmp_path / "ref")
+        cache = ResultCache(tmp_path / "cache", code_version="live",
+                            max_bytes=0)
+        for seed in range(4):
+            cache.store(TaskSpec(task_id=seed, scenario="s", handling="legacy",
+                                 seed=seed), RECORD, LEARNING)
+        real_scandir = os.scandir
+        vanished = []
+
+        def racing_scandir(path="."):
+            with real_scandir(path) as listing:
+                entries = _Listing(listing)
+            for entry in entries:
+                if entry.name.endswith((".log", ".rc")):
+                    os.unlink(entry.path)
+                    vanished.append(entry.name)
+                    break
+            return entries
+
+        monkeypatch.setattr(os, "scandir", racing_scandir)
+        cache.prune()
+        assert vanished
+        assert list((tmp_path / "cache").rglob("*.log")) == []
+
+        run_once(plan, tmp_path / "run", cache)
+        assert aggregate_bytes(tmp_path / "run") == aggregate_bytes(
+            tmp_path / "ref")
+
+
+class _Listing(list):
+    """A finished directory listing that still works as ``os.scandir``'s
+    context manager."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def log_names(directory):
+    return sorted(p.name for p in directory.glob("*.log"))
+
+
+def v1_entry(key, record, learning):
+    """A version-1 pack file: magic, version 1, length, sha256, body."""
+    body = zlib.compress(json.dumps(
+        {"key": key, "learning": learning, "record": record},
+        sort_keys=True, separators=(",", ":")).encode())
+    return (b"SEEDRC" + bytes((1,)) + len(body).to_bytes(4, "little")
+            + hashlib.sha256(body).digest() + body)
+
+
+class TestLogStore:
+    """Append-only logs: one writer per log, an index in the reader."""
+
+    def test_forked_workers_append_to_their_own_logs(self, tmp_path):
+        # The parent stores inline first, so its log is open when the
+        # sweep's own pool forks: the children inherit the descriptor
+        # and must never write through it.
+        cache = ResultCache(tmp_path / "cache", code_version="g1")
+        assert cache.store(TASK, RECORD, LEARNING)
+        gen_dir = tmp_path / "cache" / "g1"
+        [parent_log] = log_names(gen_dir)
+        assert parent_log.startswith(f"{os.getpid()}-")
+        parent_bytes = (gen_dir / parent_log).read_bytes()
+
+        plan = fast_plan()
+        tasks = task_count(plan)
+        cold = run_once(plan, tmp_path / "cold", cache, workers=2,
+                        executor="pool")
+        assert (cold.cache_hits, cold.cache_misses) == (0, tasks)
+
+        assert (gen_dir / parent_log).read_bytes() == parent_bytes
+        children = [name for name in log_names(gen_dir) if name != parent_log]
+        assert 1 <= len(children) <= 2
+        assert len({name.split("-")[0] for name in children}) == len(children)
+        assert not any(name.startswith(f"{os.getpid()}-")
+                       for name in children)
+        assert cache.stats()["generations"]["g1"]["entries"] == 1 + tasks
+
+        warm = run_once(plan, tmp_path / "warm", cache, workers=2,
+                        executor="pool")
+        assert (warm.cache_hits, warm.cache_misses) == (tasks, 0)
+        assert aggregate_bytes(tmp_path / "warm") == aggregate_bytes(
+            tmp_path / "cold")
+
+    def test_store_after_eviction_lands_in_a_new_visible_log(self, tmp_path):
+        cache = ResultCache(tmp_path, code_version="g1")
+        assert cache.store(TASK, RECORD, LEARNING)
+        [evicted] = log_names(tmp_path / "g1")
+        cache.max_bytes = 0
+        assert cache.prune()["removed_entries"] == 1
+        cache.max_bytes = 10_000
+
+        other = dataclasses.replace(TASK, seed=124)
+        assert cache.store(other, RECORD, LEARNING)
+        [fresh_log] = log_names(tmp_path / "g1")
+        assert fresh_log != evicted
+        reader = ResultCache(tmp_path, code_version="g1")
+        assert reader.lookup(other) == (RECORD, LEARNING)
+        assert reader.lookup(TASK) is None
+
+    @pytest.mark.parametrize("cut", [1, 40, 100, -1])
+    def test_half_written_frame_is_indexed_once_complete(self, tmp_path,
+                                                         cut):
+        # A writer caught mid-append: the log ends in part of a frame.
+        # A refresh must stop there, then pick the frame up once the
+        # rest has landed.
+        other = dataclasses.replace(TASK, seed=124)
+        first = _encode_entry(task_key(other, "g1"), RECORD, LEARNING)
+        frame = _encode_entry(task_key(TASK, "g1"), RECORD, LEARNING)
+        path = tmp_path / "g1" / "1-0.log"
+        path.parent.mkdir()
+        path.write_bytes(first + frame[:cut])
+
+        reader = ResultCache(tmp_path, code_version="g1")
+        assert reader.lookup(other) == (RECORD, LEARNING)
+        assert reader.lookup(TASK) is None
+        reader.refresh()
+        assert reader.lookup(TASK) is None
+
+        with path.open("ab") as log:
+            log.write(frame[cut:])
+        reader.refresh()
+        assert reader.lookup(TASK) == (RECORD, LEARNING)
+
+    def test_v1_tree_is_pruned_and_never_read(self, tmp_path):
+        cache = ResultCache(tmp_path, code_version="g1")
+        key = cache.key(TASK)
+        fanout = tmp_path / "g1" / key[:2]
+        fanout.mkdir(parents=True)
+        (fanout / f"{key}.rc").write_bytes(v1_entry(key, RECORD, LEARNING))
+        other = dataclasses.replace(TASK, seed=124)
+        assert cache.store(other, RECORD, LEARNING)
+
+        assert cache.lookup(TASK) is None
+        # Under the bound nothing live goes, but the v1 tree always does.
+        assert cache.prune() == {"removed_generations": 0,
+                                 "removed_entries": 0}
+        assert not fanout.exists()
+        assert cache.lookup(other) == (RECORD, LEARNING)
+        assert ResultCache(tmp_path, code_version="g1").lookup(TASK) is None
 
 
 class TestResolveCache:

@@ -402,6 +402,29 @@ class TestRegistryDiff:
         assert diff["learning"]["best_action_changed"] == {}
 
 
+class TestDaemonPool:
+    def test_forced_pool_on_one_worker_reuses_one_spawn_pool(self, tmp_path):
+        # workers=1 with executor="pool": the daemon must own a spawn
+        # pool, or every sweep would fork a pool of its own from the
+        # queue thread while the HTTP handler threads run.
+        daemon = ServeDaemon(tmp_path / "serve", workers=1, port=0,
+                             executor="pool")
+        specs = [SPEC, dict(SPEC, seed=78)]
+        daemon.queue.start()
+        try:
+            jobs = [wait_terminal(daemon.queue.submit(spec))
+                    for spec in specs]
+            assert daemon.pool is not None
+            assert daemon.pool.executors_spawned == 1
+        finally:
+            daemon.close()
+        for index, (job, spec) in enumerate(zip(jobs, specs)):
+            assert job.state is JobState.DONE, job.error
+            served = (tmp_path / "serve" / "registry" / job.fingerprint
+                      / "aggregate.json").read_bytes()
+            assert served == batch_bytes(tmp_path, spec, name=f"inline{index}")
+
+
 class TestHttpApi:
     def test_daemon_end_to_end(self, tmp_path):
         daemon = ServeDaemon(tmp_path / "serve", workers=1, port=0)
