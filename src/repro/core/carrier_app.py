@@ -87,10 +87,13 @@ class SeedCarrierApp:
             self.reports_filtered += 1
             return False
         self.reports_forwarded += 1
+        # Apps call this from their traffic callbacks, which descend
+        # from maintenance cadence ticks; the report pipeline can end
+        # in a policy fix, so it must not inherit that taint.
         self.sim.schedule(
             REPORT_PREP_LATENCY + APDU_LATENCY,
             self._forward_report, report, OP_FAILURE_REPORT,
-            label="seedapp:report",
+            label="seedapp:report", maintenance=False,
         )
         return True
 
@@ -101,12 +104,14 @@ class SeedCarrierApp:
 
     # -- OS stall notifications ------------------------------------------
     def _on_os_stall(self, event) -> None:
+        # Stalls are detected inside Android's maintenance ticks; the
+        # report they start is substantive work (see report_failure).
         report = FailureReport(
             FailureType.TCP, TrafficDirection.BOTH, "0.0.0.0:443"
         )
         self.sim.schedule(
             APDU_LATENCY, self._forward_report, report, OP_OS_STALL,
-            label="seedapp:os-stall",
+            label="seedapp:os-stall", maintenance=False,
         )
 
     # -- success events (CAT event download) --------------------------------

@@ -116,9 +116,10 @@ class AndroidOs:
     # -- captive portal validation ----------------------------------------
     # The periodic ticks are maintenance timers: they re-arm themselves
     # forever, and their probe/query children inherit the maintenance
-    # taint. Detector *reactions* (stall reports, ladder rungs) run as
-    # callbacks of those children and are covered by the testbed's
-    # settledness predicate, not by event classification.
+    # taint. Detector *reactions* run as callbacks of those children:
+    # the stall record itself is covered by the testbed's settledness
+    # predicate, while the work a stall hands on (SEED's stall report,
+    # each ladder rung) is scheduled explicitly substantive.
     def _validation_tick(self) -> None:
         self.prober.probe(self._on_probe_outcome)
         self.sim.schedule(self.timers.validation_interval, self._validation_tick,
@@ -179,8 +180,12 @@ class AndroidOs:
     def _schedule_rung(self, rung: int) -> None:
         if rung >= len(self.timers.ladder):
             return
+        # Explicitly substantive: the first rung is armed from inside a
+        # maintenance detector tick, and a rung re-validates, resets the
+        # modem and arms the next rung, none of which may be elided.
         self._ladder_event = self.sim.schedule(
-            self.timers.ladder[rung], self._run_rung, rung, label=f"android:rung{rung}"
+            self.timers.ladder[rung], self._run_rung, rung,
+            label=f"android:rung{rung}", maintenance=False,
         )
 
     def _run_rung(self, rung: int) -> None:
@@ -232,6 +237,17 @@ class AndroidOs:
         if stats.outbound_without_inbound(now):
             return False
         return True
+
+    def stall_spent(self) -> bool:
+        """A stall is active and no recovery rung is pending.
+
+        Part of the testbed's quiescence predicate when configuration
+        blocks the validation probe's path: no probe can succeed, so the
+        stall never clears and every later detection is a no-op; the
+        legacy ladder has run out, and SEED modes run no ladder.
+        """
+        event = self._ladder_event
+        return self.stall_active and (event is None or not event.pending)
 
     def detection_latency(self, failure_onset: float) -> float | None:
         """Time from ``failure_onset`` to the first stall report after it."""

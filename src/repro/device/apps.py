@@ -198,6 +198,11 @@ class App:
 
     # ------------------------------------------------------------------
     def _record(self, success: bool, failure_type: str) -> None:
+        if not self.running:
+            # Stopped (a frozen cohort member): an exchange still in
+            # flight resolves into nobody's record, as it would past
+            # the end of a dedicated run.
+            return
         now = self.sim.now
         if success:
             self.successes += 1
@@ -256,6 +261,19 @@ class App:
             and not self._retry_pending
         )
 
+    def reported_open(self) -> bool:
+        """An open disruption, and no report left to send for it.
+
+        Part of the testbed's quiescence predicate for an app whose flow
+        configuration blocks for good: every later exchange fails, so
+        the disruption stays open to the horizon, and the failure count
+        only grows past the report threshold, so no report can fire.
+        """
+        return self._open_disruption is not None and (
+            self.report_api is None
+            or self.consecutive_failures >= self.profile.report_after_failures
+        )
+
     # ------------------------------------------------------------------
     def perceived_disruption_total(self) -> float:
         """Total user-perceived disruption (open intervals extend to now)."""
@@ -265,7 +283,8 @@ class App:
             total += max(0.0, end - d.start)
         return total
 
-    def close_open_disruption(self) -> None:
+    def close_open_disruption(self, end: float | None = None) -> None:
+        """End the open disruption at ``end`` (default: now)."""
         if self._open_disruption is not None:
-            self._open_disruption.end = self.sim.now
+            self._open_disruption.end = self.sim.now if end is None else end
             self._open_disruption = None

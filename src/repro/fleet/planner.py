@@ -406,9 +406,12 @@ def plan_from_spec(spec: dict) -> FleetPlan:
 # Cost model (work-stealing queue order)
 # ---------------------------------------------------------------------------
 # Relative run-length factor per handling mode. SEED runs recover — and
-# therefore quiesce — much earlier than legacy runs, which frequently
-# censor at the full horizon. The exact values only shape the steal
-# order; correctness never depends on them.
+# therefore quiesce — much earlier than legacy runs, whose slow retry
+# timers and ambient clears stretch their outages. Even a run censored
+# by a configuration block does not cost its horizon in wall time: it
+# quiesces once its record is fixed. The exact values only shape the
+# steal order and the inline-vs-pool choice; correctness never depends
+# on them.
 _HANDLING_COST = {
     HandlingMode.LEGACY.value: 1.0,
     HandlingMode.SEED_U.value: 0.45,
@@ -420,10 +423,12 @@ def estimated_task_cost(task: TaskSpec) -> float:
     """Deterministic relative cost of one task.
 
     A planner-side heuristic, not a measurement: the class's
-    measurement horizon (long-horizon classes simulate more churn when
-    they censor) scaled by the handling mode. It depends on nothing but
-    the spec, so every process — at any worker count — computes the
-    same queue order.
+    measurement horizon (long-horizon classes allow longer outages)
+    scaled by the handling mode. Horizon-censored runs quiesce once
+    their record is fixed, so the horizon bounds a run's wall time
+    rather than setting it. It depends on nothing but the spec, so
+    every process — at any worker count — computes the same queue
+    order.
     """
     scenario = resolve_task_scenario(task)
     horizon = task.horizon

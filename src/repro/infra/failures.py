@@ -149,31 +149,28 @@ class FailureEngine:
         self._active_by_supi.setdefault(spec.supi, []).append(failure)
         self.history.append(failure)
         if ClearTrigger.AFTER_DURATION in spec.clear_triggers and spec.duration > 0:
-            failure.clear_event = self.sim.schedule(
-                spec.duration,
-                self._clear,
-                failure,
-                ClearTrigger.AFTER_DURATION,
-                label=f"failure:{failure.failure_id}:ambient-clear",
-            )
+            label = f"failure:{failure.failure_id}:ambient-clear"
+            if spec.mode in (FailureMode.BLOCK, FailureMode.DNS_OUTAGE):
+                # Maintenance: a user-plane clear only changes packet
+                # fates and wakes the meter; the AMF/SMF clear observers
+                # act on TIMEOUT failures only, and the quiescence
+                # predicate re-checks every observable before anything
+                # is elided. settle() records it if a stop discards it.
+                failure.clear_event = self.sim.schedule(  # seedlint: disable=DET006
+                    spec.duration, self._clear, failure,
+                    ClearTrigger.AFTER_DURATION, label=label, maintenance=True,
+                )
+            else:
+                failure.clear_event = self.sim.schedule(
+                    spec.duration, self._clear, failure,
+                    ClearTrigger.AFTER_DURATION, label=label,
+                )
         return failure
 
     def _clear(self, failure: ActiveFailure, trigger: ClearTrigger) -> None:
         if failure.cleared:
             return
-        # An earlier trigger beat the ambient timer: cancel it so a
-        # long-dated dead timer does not hold off quiescence.
-        if failure.clear_event is not None:
-            failure.clear_event.cancel()
-            failure.clear_event = None
-        failure.cleared = True
-        failure.cleared_at = self.sim.now
-        failure.cleared_by = trigger
-        if failure in self.active:
-            self.active.remove(failure)
-        bucket = self._active_by_supi.get(failure.spec.supi)
-        if bucket is not None and failure in bucket:
-            bucket.remove(failure)
+        self._retire(failure, trigger, self.sim.now)
         for observer in self.on_clear:
             observer(failure)
         if failure.spec.supi:
@@ -183,6 +180,36 @@ class FailureEngine:
             for observers in self._observers_by_supi.values():
                 for observer in observers:
                     observer(failure)
+
+    def _retire(self, failure: ActiveFailure, trigger: ClearTrigger, at: float) -> None:
+        """A clear's own bookkeeping, without notifying observers."""
+        # An earlier trigger beat the ambient timer: cancel it so a
+        # long-dated dead timer does not hold off quiescence.
+        if failure.clear_event is not None:
+            failure.clear_event.cancel()
+            failure.clear_event = None
+        failure.cleared = True
+        failure.cleared_at = at
+        failure.cleared_by = trigger
+        if failure in self.active:
+            self.active.remove(failure)
+        bucket = self._active_by_supi.get(failure.spec.supi)
+        if bucket is not None and failure in bucket:
+            bucket.remove(failure)
+
+    def settle(self, until: float) -> None:
+        """Record the ambient clears a quiescent stop discarded.
+
+        A run that stops early drops its pending user-plane clears with
+        the rest of the maintenance heap. They change no record (see
+        :meth:`inject`), so only their bookkeeping is applied here, at
+        their own times: the failures then read as a run that reached
+        ``until`` leaves them. A no-op after a full-horizon run.
+        """
+        for failure in list(self.active):
+            event = failure.clear_event
+            if event is not None and event.pending and event.time <= until:
+                self._retire(failure, ClearTrigger.AFTER_DURATION, event.time)
 
     # ------------------------------------------------------------------
     # Queries used by AMF / SMF / UPF

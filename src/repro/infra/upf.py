@@ -163,16 +163,28 @@ class Upf:
     # ------------------------------------------------------------------
     # Pure oracles (no counters; used by the measurement harness)
     # ------------------------------------------------------------------
+    def config_blocks(self, supi: str, protocol: Protocol, port: int,
+                      direction: Direction = Direction.UPLINK) -> bool:
+        """Would configuration alone drop a packet of this shape?
+
+        Configuration is a :class:`BlockRule` or an entry of the
+        subscriber's user policy, as opposed to an injected failure.
+        Nothing lifts a rule, and only ``ConfigStore.clear_block`` (the
+        SEED plugin's policy fix) lifts a policy entry.
+        """
+        if self.rules:
+            probe = Packet(protocol=protocol, direction=direction,
+                           src_port=port, dst_port=port)
+            for rule in self.rules:
+                if rule.matches(probe, supi):
+                    return True
+        policy = self.config_store.user_policies.get(supi)
+        return policy is not None and policy.blocks(protocol.value, direction.value, port)
+
     def would_block(self, supi: str, protocol: Protocol, port: int,
                     direction: Direction = Direction.UPLINK) -> bool:
         """Would a packet of this shape be dropped right now?"""
-        probe = Packet(protocol=protocol, direction=direction,
-                       src_port=port, dst_port=port)
-        for rule in self.rules:
-            if rule.matches(probe, supi):
-                return True
-        policy = self.config_store.policy_for(supi)
-        if policy.blocks(protocol.value, direction.value, port):
+        if self.config_blocks(supi, protocol, port, direction):
             return True
         for failure in self.engine.blocking_rules(supi):
             spec = failure.spec

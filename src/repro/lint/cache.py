@@ -30,7 +30,7 @@ from pathlib import Path
 
 #: Bump on any change to cached payload shapes or rule semantics that
 #: a rule-id fingerprint alone would not capture.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 
 def content_digest(data: bytes) -> str:

@@ -71,10 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         "files skip parsing and pass-1 analysis on warm runs)",
     )
     parser.add_argument(
-        "--jobs", type=int, metavar="N",
-        help="parse with N threads (default: auto for large trees)",
-    )
-    parser.add_argument(
         "--stats", action="store_true",
         help="print timing and cache-hit telemetry to stderr",
     )
@@ -160,8 +156,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
     started = time.perf_counter()
-    modules = scan_paths(
-        args.paths or _default_paths(), cache=cache, jobs=args.jobs)
+    modules = scan_paths(args.paths or _default_paths(), cache=cache)
     parsed = time.perf_counter()
     findings = run_rules(
         modules, rules,

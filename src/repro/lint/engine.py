@@ -1,10 +1,9 @@
 """File scanning, suppression handling, and two-pass rule execution.
 
 ``scan_paths`` walks the given files/directories, parses every ``*.py``
-into a :class:`Module` (source + AST + suppression table) — in
-parallel when asked, and through the content-hash parse cache when one
-is given — and ``lint_paths`` runs the registered rules over them in
-**two passes**:
+into a :class:`Module` (source + AST + suppression table) — through
+the content-hash parse cache when one is given — and ``lint_paths``
+runs the registered rules over them in **two passes**:
 
 * **pass 1** — per-file rules run on each module whose ``scope_key``
   (package subpath under ``repro/``) matches the rule's scope, and
@@ -33,7 +32,6 @@ from __future__ import annotations
 import ast
 import gc
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -43,9 +41,6 @@ from repro.lint.finding import Finding
 from repro.lint.registry import Rule
 
 _SUPPRESS_RE = re.compile(r"#\s*seedlint:\s*disable=([A-Za-z0-9_,\s]+)")
-
-#: Files above this count get parsed on a thread pool by default.
-_PARALLEL_THRESHOLD = 32
 
 
 @dataclass
@@ -169,15 +164,9 @@ def load_module(
 def scan_paths(
     paths: Sequence[str | Path],
     cache: LintCache | None = None,
-    jobs: int | None = None,
 ) -> list[Module]:
-    """Collect and parse every ``*.py`` file under ``paths``.
-
-    ``jobs`` > 1 parses on a thread pool (file IO and much of
-    ``ast.parse`` release the GIL); ``jobs=None`` picks parallel
-    parsing automatically for large trees. Module order is always the
-    deterministic scan order, however the parses were scheduled.
-    """
+    """Collect and parse every ``*.py`` file under ``paths``, in the
+    deterministic scan order."""
     work: list[tuple[Path, Path]] = []
     seen: set[Path] = set()
     for raw in paths:
@@ -194,8 +183,6 @@ def scan_paths(
                 continue
             seen.add(resolved)
             work.append((file, root))
-    if jobs is None:
-        jobs = 4 if len(work) >= _PARALLEL_THRESHOLD else 1
     # Park the collector for the batch: a Python-level gc callback (the
     # test harness installs one) firing inside ast.parse's C-level
     # constructor dies with "SystemError: AST constructor recursion
@@ -204,13 +191,7 @@ def scan_paths(
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if jobs <= 1 or len(work) <= 1:
-            return [load_module(file, root, cache) for file, root in work]
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            return list(executor.map(
-                load_module, [f for f, _ in work], [r for _, r in work],
-                [cache] * len(work),
-            ))
+        return [load_module(file, root, cache) for file, root in work]
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -382,7 +363,6 @@ def lint_paths(
     enforce_scope: bool = True,
     cache_dir: str | Path | None = None,
     changed: set[str] | None = None,
-    jobs: int | None = None,
 ) -> list[Finding]:
     """Scan ``paths`` and run ``rules`` (default: every registered rule)."""
     from repro.lint.registry import all_rules
@@ -395,7 +375,7 @@ def lint_paths(
             rules_fingerprint([r.rule_id for r in active], enforce_scope),
         )
     return run_rules(
-        scan_paths(paths, cache=cache, jobs=jobs),
+        scan_paths(paths, cache=cache),
         active,
         enforce_scope=enforce_scope,
         cache=cache,

@@ -408,22 +408,27 @@ def det006_maintenance_purity(module: Module) -> Iterator[Finding]:
                         f"cannot be verified",
                     )
                     continue
+                # Both findings anchor at the arming call: it is the
+                # maintenance flag on *this* call that makes an impure or
+                # one-shot method unsafe to elide (the same method may be
+                # armed substantively elsewhere), so a sanctioned arming
+                # carries its own suppression and no other.
                 if not _rearms(tick, arming_methods):
                     yield Finding(
-                        module.path, tick.lineno, tick.col_offset, "DET006",
+                        module.path, node.lineno, node.col_offset, "DET006",
                         f"maintenance tick {class_node.name}.{method_name}() "
-                        f"never re-arms with maintenance=True; a one-shot "
-                        f"action is substantive work and must not carry the "
-                        f"maintenance flag",
+                        f"(line {tick.lineno}) never re-arms with "
+                        f"maintenance=True; a one-shot action is substantive "
+                        f"work and must not carry the maintenance flag",
                     )
                 offender = _foreign_store(tick)
                 if offender is not None:
                     yield Finding(
-                        module.path, offender.lineno, offender.col_offset,
-                        "DET006",
+                        module.path, node.lineno, node.col_offset, "DET006",
                         f"maintenance tick {class_node.name}.{method_name}() "
-                        f"writes state outside self; eliding it at quiescence "
-                        f"would change observable state",
+                        f"writes state outside self (line {offender.lineno}); "
+                        f"eliding it at quiescence would change observable "
+                        f"state",
                     )
     for node in ast.walk(module.tree):
         if (

@@ -261,16 +261,19 @@ class Testbed(_UeActions):
         # Quiescence-aware termination: stop as soon as the heap holds
         # only maintenance churn and the meter confirms the model is
         # settled. The kernel advances the clock to the horizon either
-        # way, so every post-run read (censored durations, open
-        # disruptions, battery integration) sees identical state.
-        # REPRO_FULL_HORIZON=1 forces the old burn-the-horizon behavior
-        # (used by the parity tests as the reference).
+        # way, and the engine records the ambient clears the stop
+        # discarded, so every post-run read (censored durations, open
+        # disruptions, failure state, battery integration) sees
+        # identical state. REPRO_FULL_HORIZON=1 forces the old
+        # burn-the-horizon behavior (used by the parity tests as the
+        # reference).
         end = self.sim.now + horizon
         if os.environ.get("REPRO_FULL_HORIZON") == "1":
             self.sim.run(until=end)
             elided = 0
         else:
             elided = self.sim.run_quiescent(end, self.meter.settled)
+        self.core.engine.settle(end)
         for app in self.device.apps.values():
             app.close_open_disruption()
         return RunResult(
@@ -549,6 +552,7 @@ class Cohort:
             self.sim.run(until=cohort_end)
         else:
             self.sim.run(until=cohort_end, quiesce_when=self._all_settled)
+        self.core.engine.settle(cohort_end)
         elided = self.sim.elided_events - elided_before
         # Members whose freeze did not fire: the longest-horizon UE
         # (its freeze lands past cohort_end) and, after a quiescent
@@ -598,11 +602,16 @@ class Cohort:
         return True
 
     def _freeze(self, slot: UeSlot, silence: bool = True) -> None:
-        """Snapshot a member's result at its horizon (idempotent)."""
+        """Snapshot a member's result at its horizon (idempotent).
+
+        Open app disruptions close at the member's own ``end``, as its
+        dedicated twin's do: the freeze event fires just past ``end``,
+        and a snapshot after a quiescent stop runs at ``cohort_end``.
+        """
         if slot.result is not None:
             return
         for app in slot.device.apps.values():
-            app.close_open_disruption()
+            app.close_open_disruption(slot.end)
         slot.meter.disarm()
         slot.result = RunResult(
             scenario=slot.member.scenario.name,

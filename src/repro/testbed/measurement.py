@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.device.apps import AppProfile
 from repro.device.device import Device
 from repro.infra.core_network import CoreNetwork
 from repro.simkernel.simulator import Simulator
@@ -32,12 +33,40 @@ EVENT_CHECK_DELAY = 0.02
 SETTLE_GRACE = 10.0
 
 
+def _app_target(profile: AppProfile) -> ConnectivityTarget:
+    """The flows one app's exchanges need, as an oracle target."""
+    if profile.protocol == "udp":
+        return ConnectivityTarget(needs_tcp=False, needs_udp=True,
+                                  needs_dns=False, port=profile.port)
+    return ConnectivityTarget(needs_tcp=True, needs_udp=False,
+                              needs_dns=profile.protocol == "web",
+                              port=profile.port)
+
+
 class ConnectivityOracle:
     """Pure connectivity check for one device."""
 
     def __init__(self, core: CoreNetwork, device: Device) -> None:
         self.core = core
         self.device = device
+
+    def config_blocked(self, target: ConnectivityTarget) -> bool:
+        """Does configuration (not an injected failure) drop one of the
+        target's flows, in either direction?"""
+        upf = self.core.upf
+        supi = self.device.supi
+        flows = []
+        if target.needs_tcp:
+            flows.append((Protocol.TCP, target.port))
+        if target.needs_udp:
+            flows.append((Protocol.UDP, target.port))
+        if target.needs_dns:
+            flows.append((Protocol.DNS, 53))
+        for protocol, port in flows:
+            for direction in (Direction.UPLINK, Direction.DOWNLINK):
+                if upf.config_blocks(supi, protocol, port, direction):
+                    return True
+        return False
 
     def ok(self, target: ConnectivityTarget) -> bool:
         modem = self.device.modem
@@ -112,6 +141,19 @@ class DisruptionMeter:
         self.oracle = ConnectivityOracle(core, device)
         self.measurement: Measurement | None = None
         self._armed = False
+        #: Time of the last registration, session or failure-clear
+        #: event on this device (None: none since the meter was built).
+        self._changed_at: float | None = None
+        # The censored branch of settled() reads these on every event of
+        # an open outage: resolved once (a cohort member's core is a
+        # facade).
+        self._upf = core.upf
+        self._policies = core.upf.config_store.user_policies
+        # Android's validation probe: resolve (usually from its cache),
+        # then connect. A blocked resolver alone does not fail a probe
+        # with a warm cache, so only its TCP leg makes a stall permanent.
+        self._probe_target = ConnectivityTarget(port=device.prober.port)
+        self._probe_tcp = ConnectivityTarget(needs_dns=False, port=device.prober.port)
         # Event wiring (idempotent per meter instance). Clears are
         # filtered to this device's SUPI so cohort members don't wake
         # each other's meters (single-UE runs see no difference: every
@@ -138,6 +180,7 @@ class DisruptionMeter:
                               maintenance=True)
 
     def _on_event(self) -> None:
+        self._changed_at = self.sim.now
         if self._armed:
             self._schedule_check(EVENT_CHECK_DELAY)
 
@@ -166,19 +209,22 @@ class DisruptionMeter:
         This is the ``quiesce_when`` predicate for
         :meth:`Simulator.run_quiescent`: together with the kernel's
         "only maintenance events pending" condition it guarantees the
-        elided horizon tail is pure steady-state churn — no measurement
-        still open, no app mid-failure-episode, no NAS procedure or
-        legacy retry in flight, no Android detector primed to trip, and
-        no SEED component (applet decision, escort sequence, downlink
-        fragment, OTA flush) with pending work. Every check reads state
-        that the corresponding subsystem exposes for exactly this
-        purpose; the checks are ordered cheapest-first because the
-        kernel calls this once per event while the heap is
-        maintenance-only.
+        elided horizon tail is pure steady-state churn — no app
+        mid-failure-episode, no NAS procedure or legacy retry in flight,
+        no Android detector primed to trip, and no SEED component
+        (applet decision, escort sequence, downlink fragment, OTA flush)
+        with pending work. A recovered measurement needs the rest of the
+        device quiet too; an open one is handled by
+        :meth:`_censored_settled`. Every check reads state that the
+        corresponding subsystem exposes for exactly this purpose; the
+        checks are ordered cheapest-first because the kernel calls this
+        once per event while the heap is maintenance-only.
         """
         measurement = self.measurement
-        if measurement is None or measurement.recovered_at is None:
+        if measurement is None:
             return False
+        if measurement.recovered_at is None:
+            return self._censored_settled()
         if self.sim.now < measurement.recovered_at + SETTLE_GRACE:
             return False
         device = self.device
@@ -191,16 +237,65 @@ class DisruptionMeter:
             return False
         if not self.oracle.ok(self.target):
             return False
+        return self._seed_idle()
+
+    def _censored_settled(self) -> bool:
+        """The open-measurement branch of :meth:`settled`.
+
+        A measurement can only close once its target's flows pass. When
+        configuration blocks one of them, only the SEED plugin's policy
+        fix can lift it, and that fix is reachable only through a report
+        pipeline, which is substantive work the kernel never elides. So
+        the run may stop once no maintenance churn can start such a
+        pipeline or change any other record: every app whose flow
+        configuration blocks has an open disruption and no report left
+        to send, every other app is quiet on a working flow, and Android
+        either holds a stall that can never clear (its probe is blocked
+        by configuration; no rung pending) or has quiet detectors on a
+        working probe path.
+        """
+        device = self.device
+        # O(1) gate: only a config-level block can censor a run for good.
+        # The kernel calls this on every event of any open outage.
+        policy = self._policies.get(device.supi)
+        if (policy is None or not policy.blocked) and not self._upf.rules:
+            return False
+        # Every exchange launched before the last connectivity change
+        # (session recycle, reattach, resolver switch) has resolved.
+        changed_at = self._changed_at
+        if changed_at is not None and self.sim.now < changed_at + SETTLE_GRACE:
+            return False
+        oracle = self.oracle
+        if not oracle.config_blocked(self.target):
+            return False
+        if not device.modem.procedures_idle():
+            return False
+        if not self._seed_idle():
+            return False
+        for app in device.apps.values():
+            target = _app_target(app.profile)
+            if oracle.config_blocked(target):
+                if not app.reported_open():
+                    return False
+            elif not (app.quiet() and oracle.ok(target)):
+                return False
+        android = device.android
+        if oracle.config_blocked(self._probe_tcp):
+            return android.stall_spent()
+        return android.detectors_quiet() and oracle.ok(self._probe_target)
+
+    def _seed_idle(self) -> bool:
+        """No SEED component on this device has work pending."""
         deployment = self.deployment
-        if deployment is not None:
-            if device.card.proactive_queue:
-                return False
-            applet = deployment.applets.get(device.supi)
-            if applet is not None and applet.busy:
-                return False
-            carrier_app = deployment.carrier_apps.get(device.supi)
-            if carrier_app is not None and not carrier_app.idle:
-                return False
-            if not deployment.plugin.downlinks_idle(device.supi):
-                return False
-        return True
+        if deployment is None:
+            return True
+        device = self.device
+        if device.card.proactive_queue:
+            return False
+        applet = deployment.applets.get(device.supi)
+        if applet is not None and applet.busy:
+            return False
+        carrier_app = deployment.carrier_apps.get(device.supi)
+        if carrier_app is not None and not carrier_app.idle:
+            return False
+        return deployment.plugin.downlinks_idle(device.supi)

@@ -10,6 +10,7 @@ behind Android's "five consecutive DNS timeouts" detector.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,9 @@ class DnsClient:
         self.device_ip = device_ip
         self.server_ip = ""  # set from PDU session config
         self.history: list[DnsOutcome] = []
+        #: Times of the trailing run of timeouts in ``history``
+        #: (non-decreasing; emptied by any other outcome).
+        self._timeout_run: list[float] = []
 
     def configure(self, server_ip: str) -> None:
         self.server_ip = server_ip
@@ -59,7 +63,7 @@ class DnsClient:
         start = self.sim.now
         if not self.server_ip:
             outcome = DnsOutcome(DnsResult.SERVFAIL, name, time=self.sim.now)
-            self.history.append(outcome)
+            self._record(outcome)
             self.sim.call_soon(callback, outcome, label="dns:no-server")
             return
         packet = Packet(
@@ -91,7 +95,7 @@ class DnsClient:
                     latency=self.sim.now - start,
                     time=self.sim.now,
                 )
-            self.history.append(outcome)
+            self._record(outcome)
             callback(outcome)
 
         verdict = self.user_plane.submit(packet, on_response)
@@ -99,7 +103,7 @@ class DnsClient:
             state["answered"] = True
             timeout_event.cancel()
             outcome = DnsOutcome(DnsResult.NO_ROUTE, name, time=self.sim.now)
-            self.history.append(outcome)
+            self._record(outcome)
             self.sim.call_soon(callback, outcome, label="dns:no-route")
 
     def _on_timeout(self, name: str, start: float, state: dict, callback) -> None:
@@ -107,17 +111,21 @@ class DnsClient:
             return
         state["answered"] = True
         outcome = DnsOutcome(DnsResult.TIMEOUT, name, latency=self.sim.now - start, time=self.sim.now)
-        self.history.append(outcome)
+        self._record(outcome)
         callback(outcome)
 
+    def _record(self, outcome: DnsOutcome) -> None:
+        self.history.append(outcome)
+        if outcome.result is DnsResult.TIMEOUT:
+            self._timeout_run.append(outcome.time)
+        else:
+            self._timeout_run.clear()
+
     def consecutive_timeouts(self, window: float = 1800.0) -> int:
-        """Trailing run of timeouts within ``window`` seconds (Android)."""
-        cutoff = self.sim.now - window
-        run = 0
-        for outcome in reversed(self.history):
-            if outcome.time < cutoff:
-                break
-            if outcome.result is not DnsResult.TIMEOUT:
-                break
-            run += 1
-        return run
+        """Trailing run of timeouts within ``window`` seconds (Android).
+
+        O(log n): outcomes arrive in time order, so the run's timeouts
+        inside the window are a suffix of ``_timeout_run``.
+        """
+        run = self._timeout_run
+        return len(run) - bisect_left(run, self.sim.now - window)

@@ -24,6 +24,7 @@ from repro.testbed.harness import (
     pick_scenario,
     run_one,
 )
+from repro.testbed.scenarios import scenario_by_name
 
 COHORT_SEED = 424242
 
@@ -125,6 +126,55 @@ class TestCohortQuiescence:
                                         derive_seed(COHORT_SEED, 1)),
                           HandlingMode.SEED_R, derive_seed(COHORT_SEED, 1))
         assert parity_surface(outcome.results[1]) == parity_surface(twin)
+
+
+def app_disruptions(device):
+    return {name: [(d.start, d.end) for d in app.disruptions]
+            for name, app in device.apps.items()}
+
+
+def assert_members_match_twins(cells, horizons=None):
+    """Run ``cells`` as one cohort; each member's app disruption lists
+    must equal its dedicated twin's. Returns the cohort."""
+    horizons = horizons or [None] * len(cells)
+    members = [CohortMember(scenario=scenario_by_name(name),
+                            handling=handling,
+                            seed=derive_seed(COHORT_SEED, index),
+                            horizon=horizon)
+               for index, ((name, handling), horizon)
+               in enumerate(zip(cells, horizons))]
+    cohort = Cohort(members, seed=COHORT_SEED)
+    cohort.run()
+    for slot, (name, handling), horizon in zip(cohort.slots, cells, horizons):
+        _result, twin = run_one(scenario_by_name(name), handling, slot.seed,
+                                horizon=horizon)
+        assert app_disruptions(slot.device) == app_disruptions(twin.device), name
+    return cohort
+
+
+class TestCohortAppParity:
+    def test_members_match_twins_at_app_level(self):
+        # A horizon-censored member's open app disruptions close at its
+        # own end, whether its freeze fires (just past that end) or the
+        # cohort quiesces and snapshots everyone at the longest horizon.
+        cohort = assert_members_match_twins(
+            [("dd_udp_block", HandlingMode.LEGACY),
+             ("dp_outdated_dnn", HandlingMode.SEED_R),
+             ("dd_tcp_policy_block", HandlingMode.SEED_U)])
+        # The censored members really carry an open-at-horizon disruption.
+        censored = app_disruptions(cohort.slots[0].device)["edge_ar"]
+        assert censored[-1][1] == cohort.slots[0].end
+
+    def test_frozen_member_records_nothing_past_its_end(self):
+        # The first member's freeze fires while the second still runs
+        # its ladder; exchanges in flight at the freeze must not reopen
+        # a disruption after the snapshot.
+        cohort = assert_members_match_twins(
+            [("dd_udp_block", HandlingMode.LEGACY),
+             ("dd_tcp_policy_block", HandlingMode.LEGACY)],
+            horizons=[30.0, None])
+        quiesced_at = cohort.sim.quiesced_at
+        assert quiesced_at is None or cohort.slots[0].end < quiesced_at
 
 
 #: Small real sweep reused by the fleet parity tests (8 tasks).

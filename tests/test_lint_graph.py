@@ -261,10 +261,3 @@ class TestSarif:
         first = capsys.readouterr().out
         main(argv)
         assert first == capsys.readouterr().out
-
-
-class TestParallelParse:
-    def test_parallel_and_serial_reports_identical(self):
-        serial = lint_paths([FIXTURES], enforce_scope=False, jobs=1)
-        parallel = lint_paths([FIXTURES], enforce_scope=False, jobs=4)
-        assert serial and serial == parallel

@@ -3,15 +3,17 @@
 The contract under test (PR 5): a run may stop as soon as the heap
 holds only maintenance churn and the testbed's settledness predicate
 holds, and doing so is *output-invariant* — every RunResult field,
-learning record, and the fleet's aggregate.json must be byte-identical
-to the full-horizon run (``REPRO_FULL_HORIZON=1``), at any worker
-count and any steal order.
+learning record, app-level read, and the fleet's aggregate.json must
+be byte-identical to the full-horizon run (``REPRO_FULL_HORIZON=1``),
+at any worker count and any steal order. That holds for recovered runs
+and for runs a configuration block censors at the horizon.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro.device.android import StallEvent, StallReason
 from repro.fleet.planner import plan_matrix
 from repro.fleet.runner import FleetRunner
 from repro.simkernel import PeriodicSampler, Monitor, Simulator
@@ -188,7 +190,16 @@ class TestPeriodicSampler:
 PARITY_PATTERNS = [
     "cp_timeout_transient", "cp_state_desync",
     "dp_outdated_dnn", "dp_insufficient_resources",
-    "dd_udp_block", "dd_dns_outage",
+    "dd_tcp_policy_block", "dd_udp_block", "dd_dns_outage",
+]
+
+#: The matrix cells no handling recovers within the horizon: a
+#: configuration block only SEED-R's uplink report can lift.
+CENSORED_CELLS = [
+    ("dd_udp_block", HandlingMode.LEGACY),
+    ("dd_udp_block", HandlingMode.SEED_U),
+    ("dd_tcp_policy_block", HandlingMode.LEGACY),
+    ("dd_tcp_policy_block", HandlingMode.SEED_U),
 ]
 
 
@@ -201,6 +212,41 @@ def _run_pair(scenario_name, handling, seed, monkeypatch):
     return (full_result, full_testbed), (quiet_result, quiet_testbed)
 
 
+def app_reads(testbed):
+    """Post-run reads below the record: per-app disruptions and
+    reports, UI notifications, Android stalls and ladder actions."""
+    device = testbed.device
+    apps = {
+        name: ([(d.start, d.end) for d in app.disruptions],
+               list(app.reports_sent), app.perceived_disruption_total())
+        for name, app in device.apps.items()
+    }
+    android = device.android
+    return (apps, list(device.ui_notifications),
+            [(stall.time, stall.reason) for stall in android.stalls],
+            list(android.recovery_actions))
+
+
+def failure_state(testbed):
+    """Every injected failure's clear record (ambient clears a stop
+    discarded are recorded by ``FailureEngine.settle``)."""
+    return [(f.cleared, f.cleared_at, f.cleared_by)
+            for f in testbed.core.engine.history]
+
+
+def _assert_parity(full, full_tb, quiet, quiet_tb, name):
+    assert full.measurement.recovered_at == quiet.measurement.recovered_at, name
+    assert full.duration == quiet.duration, name
+    assert full.recovered == quiet.recovered, name
+    assert full.timed == quiet.timed, name
+    assert full.notified_user == quiet.notified_user, name
+    assert full_tb.learning_records() == quiet_tb.learning_records(), name
+    assert app_reads(full_tb) == app_reads(quiet_tb), name
+    assert failure_state(full_tb) == failure_state(quiet_tb), name
+    assert full.meta["elided_events"] == 0
+    assert full_tb.sim.quiesced_at is None
+
+
 class TestRunParity:
     def test_runresult_and_learning_parity(self, monkeypatch):
         cases = [
@@ -208,25 +254,38 @@ class TestRunParity:
             ("dp_insufficient_resources", HandlingMode.SEED_R, 19),
             ("dd_dns_outage", HandlingMode.SEED_U, 1001),
             ("dd_udp_block", HandlingMode.SEED_R, 7),
-        ]
+        ] + [(name, handling, 1002) for name, handling in CENSORED_CELLS]
         for name, handling, seed in cases:
             (full, full_tb), (quiet, quiet_tb) = _run_pair(
                 name, handling, seed, monkeypatch)
-            assert full.duration == quiet.duration, name
-            assert full.recovered == quiet.recovered, name
-            assert full.timed == quiet.timed, name
-            assert full.notified_user == quiet.notified_user, name
-            assert full_tb.learning_records() == quiet_tb.learning_records(), name
-            assert full.meta["elided_events"] == 0
-            assert full_tb.sim.quiesced_at is None
+            _assert_parity(full, full_tb, quiet, quiet_tb, name)
+            if (name, handling) in CENSORED_CELLS:
+                assert not quiet.recovered, name
+                assert quiet_tb.sim.quiesced_at is not None, name
 
     def test_unrecovered_run_never_quiesces(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
-        scenario = scenario_by_name("dd_tcp_policy_block")
-        result, testbed = run_one(scenario, HandlingMode.LEGACY, seed=1001)
-        assert not result.recovered
-        assert testbed.sim.quiesced_at is None
-        assert result.meta["elided_events"] == 0
+        """An unrecovered run keeps its horizon-censored record, but it
+        stops as soon as nothing left on the heap can change it: here,
+        once the stock 3 x 210 s legacy ladder has run out against a TCP
+        policy block that only SEED-R's report could lift."""
+        (full, full_tb), (quiet, quiet_tb) = _run_pair(
+            "dd_tcp_policy_block", HandlingMode.LEGACY, 1001, monkeypatch)
+        assert not quiet.recovered
+        assert quiet.duration == quiet.horizon
+        assert quiet_tb.sim.quiesced_at is not None
+        assert quiet_tb.sim.quiesced_at < quiet.measurement.onset + quiet.horizon
+        assert quiet.meta["elided_events"] > 0
+        assert len(quiet_tb.device.android.recovery_actions) == 3
+        _assert_parity(full, full_tb, quiet, quiet_tb, "dd_tcp_policy_block")
+
+    def test_censored_run_fires_a_hundredth_of_its_events(self, monkeypatch):
+        """Machine-independent size of the saving: a legacy UDP-block
+        run is fixed once the AR app's disruption opens, a fraction of a
+        second after onset, instead of 10 Hz traffic to the horizon."""
+        (full, full_tb), (quiet, quiet_tb) = _run_pair(
+            "dd_udp_block", HandlingMode.LEGACY, 1001, monkeypatch)
+        assert quiet_tb.sim.fired_events * 100 <= full_tb.sim.fired_events
+        _assert_parity(full, full_tb, quiet, quiet_tb, "dd_udp_block")
 
     def test_recovered_run_quiesces_and_reports_elision(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
@@ -271,6 +330,50 @@ class TestRunParity:
         assert all("elided_events" in r for r in report.records)
         # ... but elision stays out of the deterministic surface.
         assert "elided_events" not in json.dumps(report.aggregate)
+
+
+def _substantive_added_by(sim, action):
+    """Run ``action`` inside a maintenance dispatch (the context app
+    traffic and Android's detectors run in); return how many
+    substantive events it left pending."""
+    added = []
+
+    def tick():
+        before = sim.substantive_pending
+        action()
+        added.append(sim.substantive_pending - before)
+
+    sim.schedule(0.0, tick, label="test:tick", maintenance=True)
+    sim.run(until=sim.now)
+    return added[0]
+
+
+class TestSubstantiveHandoff:
+    """Work churn hands to SEED or to Android's recovery ladder is
+    substantive even when scheduled from a maintenance dispatch, so the
+    kernel never consults the settledness predicate mid-pipeline."""
+
+    def test_app_report_is_substantive(self):
+        testbed = Testbed(seed=3, handling=HandlingMode.SEED_R)
+        testbed.warm_up()
+        carrier_app = testbed.carrier_app
+        assert _substantive_added_by(testbed.sim, lambda: carrier_app.report_failure(
+            "udp", "both", "203.0.113.10:9000")) == 1
+
+    def test_os_stall_report_is_substantive(self):
+        testbed = Testbed(seed=3, handling=HandlingMode.SEED_U)
+        testbed.warm_up()
+        stall = StallEvent(time=testbed.sim.now, reason=StallReason.TCP_FAILURE)
+        assert _substantive_added_by(
+            testbed.sim, lambda: testbed.carrier_app._on_os_stall(stall)) == 1
+
+    def test_ladder_rung_is_substantive(self):
+        testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
+        testbed.warm_up()
+        android = testbed.device.android
+        assert _substantive_added_by(
+            testbed.sim, lambda: android._schedule_rung(0)) == 1
+        assert android._ladder_event.pending
 
 
 class TestPurgeSessionsApi:

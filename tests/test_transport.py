@@ -1,6 +1,7 @@
 """Transport-layer tests against a scripted stub user plane."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simkernel import Simulator
 from repro.transport import (
@@ -119,6 +120,43 @@ class TestDnsClient:
         sim.run_until_idle()
         sim.run(until=sim.now + 3600.0)
         assert dns.consecutive_timeouts(window=1800.0) == 0
+
+    @staticmethod
+    def scan_consecutive_timeouts(history, now, window):
+        """Reference: the original backwards scan over the history."""
+        cutoff = now - window
+        run = 0
+        for outcome in reversed(history):
+            if outcome.time < cutoff:
+                break
+            if outcome.result is not DnsResult.TIMEOUT:
+                break
+            run += 1
+        return run
+
+    @given(
+        queries=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=20.0),
+            st.sampled_from(["silent", "reply", "no_route"]),
+            st.floats(min_value=0.1, max_value=10.0),
+        ), max_size=30),
+        probes=st.lists(st.tuples(
+            st.floats(min_value=0.0, max_value=100.0),
+            st.floats(min_value=0.0, max_value=200.0),
+        ), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_consecutive_timeouts_matches_history_scan(self, queries, probes):
+        sim, plane, dns = self.make()
+        for gap, behaviour, timeout in queries:
+            sim.run(until=sim.now + gap)
+            plane.behaviour[Protocol.DNS] = behaviour
+            dns.query("x", lambda outcome: None, timeout=timeout)
+        sim.run_until_idle()
+        for advance, window in probes:
+            sim.run(until=sim.now + advance)
+            assert dns.consecutive_timeouts(window) == \
+                self.scan_consecutive_timeouts(dns.history, sim.now, window)
 
 
 class TestTcpClient:
