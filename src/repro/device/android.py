@@ -27,6 +27,7 @@ validates connectivity.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -215,10 +216,13 @@ class AndroidOs:
 
         Part of the testbed's quiescence predicate. Beyond the current
         state being green, this guarantees *future* evaluation ticks
-        stay green on today's data: any failed TCP attempt still inside
-        the sliding window could push ``failure_rate`` over 0.8 at a
-        later tick once older successes age out, so the window must be
-        failure-free before the run may stop early.
+        stay green on today's data. A later tick's window holds a
+        suffix of today's window plus new exchanges, which succeed on
+        the passing paths the predicate demands. Successes only lower
+        a failure rate, so no suffix of the window's attempts may reach
+        0.8 (the float expression of ``TcpStats.failure_rate``). A
+        window without inbound packets starts after today's last
+        inbound, so at most 10 outbound packets may follow it.
         """
         if self.stall_active or self._probe_failures > 0:
             return False
@@ -226,17 +230,19 @@ class AndroidOs:
             return False
         if self.dns.consecutive_timeouts() >= 5:
             return False
-        now = self.sim.now
         stats = self.tcp.stats
-        cutoff = now - window
+        cutoff = self.sim.now - window
+        succeeded = total = 0
         for t, ok in reversed(stats.attempts):
             if t < cutoff:
                 break
-            if not ok:
+            total += 1
+            succeeded += ok
+            if 1.0 - (succeeded / total) >= 0.8:
                 return False
-        if stats.outbound_without_inbound(now):
-            return False
-        return True
+        outbound = stats.outbound
+        since = bisect_right(outbound, stats.inbound[-1]) if stats.inbound else 0
+        return len(outbound) - max(since, bisect_left(outbound, cutoff)) <= 10
 
     def stall_spent(self) -> bool:
         """A stall is active and no recovery rung is pending.

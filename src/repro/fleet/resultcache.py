@@ -286,7 +286,10 @@ class ResultCache:
     queue thread, in serve — may call :meth:`lookup`, :meth:`refresh`
     and :meth:`prune` or store through the inline executor, so the
     index needs no lock. It maps a key prefix to one packed int per
-    cached task, about 100 B each.
+    cached task, about 100 B each. A miss also remembers its task and
+    key until the next :meth:`refresh`, so :meth:`store` of that task
+    need not derive the key again (never pickled; a stale entry of a
+    forked worker is ignored unless its task is equal).
 
     ``code_version`` overrides the computed :func:`code_fingerprint`
     (tests force generation bumps with it); ``max_bytes`` bounds
@@ -315,6 +318,9 @@ class ResultCache:
         self._names: dict[int, str] = {}
         self._next_id = 0
         self._refreshed = False
+        # This sweep's misses: task_id -> (task, key), so the store of a
+        # freshly computed task reuses the key its lookup derived.
+        self._miss_keys: dict[int, tuple[TaskSpec, str]] = {}
         # Writer: the log this process appends to (``_pid`` owns ``_fd``).
         self._fd: int | None = None
         self._closer: weakref.finalize | None = None
@@ -345,6 +351,7 @@ class ResultCache:
         key = self.key(task)
         where = self._index.get(int(key[:2 * _PREFIX_BYTES], 16))
         if where is None:
+            self._miss_keys[task.task_id] = (task, key)
             return None
         name = self._names[where & _ID_MASK]
         entry = _read_entry(os.path.join(self._dir, name), where >> _ID_BITS,
@@ -368,6 +375,7 @@ class ResultCache:
         its index entries.
         """
         self._refreshed = True
+        self._miss_keys.clear()
         logs, _ = _scan(self._dir)
         inodes = {name: stat.st_ino for name, stat in logs}
         stale = [name for name, state in self._logs.items()
@@ -411,7 +419,8 @@ class ResultCache:
         tail. Failures are best-effort — a cache that cannot write must
         never fail the sweep.
         """
-        key = self.key(task)
+        miss = self._miss_keys.pop(task.task_id, None)
+        key = miss[1] if miss is not None and miss[0] == task else self.key(task)
         frame = _encode_entry(key, record, learning)
         try:
             fd = self._log_fd()

@@ -11,8 +11,9 @@ keys everything by the **content digest** of each file:
   every run so the stale-suppression accounting (META001) stays exact.
 
 Entries are additionally keyed by a *rules fingerprint* (active rule
-ids + scope enforcement + schema version + interpreter version): any
-change to the rule set or the engine invalidates the whole cache
+ids + scope enforcement + schema version + interpreter version + a
+digest of the linter's own source files): any change to the rule set,
+a rule's logic or message, or the engine invalidates the whole cache
 rather than risking stale findings. Paths never key anything — a file
 moved without modification still hits; findings are re-anchored to the
 current display path at load time.
@@ -26,10 +27,11 @@ from __future__ import annotations
 import hashlib
 import pickle
 import sys
+from functools import lru_cache
 from pathlib import Path
 
-#: Bump on any change to cached payload shapes or rule semantics that
-#: a rule-id fingerprint alone would not capture.
+#: Bump on any change to cached payload shapes. Rule and engine edits
+#: need no bump: :func:`linter_digest` captures them.
 CACHE_SCHEMA = 2
 
 
@@ -37,11 +39,26 @@ def content_digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@lru_cache(maxsize=1)
+def linter_digest() -> str:
+    """sha256 over this package's source files (sorted relative path +
+    bytes), so an edited rule never serves its old cached findings."""
+    package = Path(__file__).resolve().parent
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode())
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
 def rules_fingerprint(rule_ids: list[str], enforce_scope: bool) -> str:
     blob = "|".join([
         f"schema={CACHE_SCHEMA}",
         f"py={sys.version_info.major}.{sys.version_info.minor}",
         f"scope={int(enforce_scope)}",
+        f"linter={linter_digest()}",
         *sorted(rule_ids),
     ])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]

@@ -374,6 +374,21 @@ class Simulator:
         """Pending non-maintenance events (exact, O(1))."""
         return self._substantive
 
+    def next_event_time(self) -> float | None:
+        """Time of the next live pending event (None: heap empty).
+
+        Cancelled entries at the head are discarded, as the run loop
+        discards them, so the answer is the time :meth:`run` fires next.
+        """
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if len(entry) == 3 and entry[2].state is _CANCELLED:
+                heappop(heap)
+                continue
+            return entry[0]
+        return None
+
     @property
     def fired_events(self) -> int:
         """Total number of events fired so far."""

@@ -10,7 +10,9 @@ resolver healthy).
 Recovery detection is event-driven: session/registration events,
 failure clears, and session modifications trigger re-checks, with a
 coarse heartbeat as a safety net, so recovery timestamps are precise
-to milliseconds without per-tick polling.
+to milliseconds without per-tick polling. The heartbeat fires only on
+grid points where something could have changed since the last check
+(see :meth:`DisruptionMeter._heartbeat`).
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ from repro.transport.packets import Direction, Protocol
 
 HEARTBEAT = 2.0
 EVENT_CHECK_DELAY = 0.02
-# A run may only quiesce this long after recovery: it is the longest
-# transport timeout in the model (TCP request), so every exchange that
-# was launched *before* recovery has resolved — and left its trace in
-# the detector state checked by settled() — by the time it elapses.
-SETTLE_GRACE = 10.0
 
 
 def _app_target(profile: AppProfile) -> ConnectivityTarget:
@@ -141,9 +138,14 @@ class DisruptionMeter:
         self.oracle = ConnectivityOracle(core, device)
         self.measurement: Measurement | None = None
         self._armed = False
-        #: Time of the last registration, session or failure-clear
-        #: event on this device (None: none since the meter was built).
-        self._changed_at: float | None = None
+        #: After recovery, the run may only stop once the clock is past
+        #: this: the recovery instant or the latest exchange deadline
+        #: armed by then, whichever is later.
+        self._settle_after = 0.0
+        #: The same bound for the last registration, session or
+        #: failure-clear event on this device (None: none since the
+        #: meter was built).
+        self._changed_after: float | None = None
         # The censored branch of settled() reads these on every event of
         # an open outage: resolved once (a cohort member's core is a
         # facade).
@@ -172,15 +174,43 @@ class DisruptionMeter:
         return self.measurement
 
     def _heartbeat(self) -> None:
+        """Check now, then re-arm on the next grid point worth a check.
+
+        The grid is the onset plus repeated ``+ HEARTBEAT`` additions.
+        Model state only changes inside event callbacks, so every grid
+        point before the next pending event would re-check the state
+        this check just saw and fail again. The re-arm skips them: it
+        lands on the first grid point at or after that event, reached
+        by the same float additions, so its time is bit-identical to
+        the eager chain's. Nothing fires in between, so the entry sorts
+        as the eager chain's would there: after every event already
+        queued, before anything scheduled later. (Exact as long as
+        nothing is scheduled from outside a callback while the meter is
+        armed; the harness launches the meter last, then runs once.)
+        """
         if not self._armed:
             return
         self._check()
-        if self._armed:
-            self.sim.schedule(HEARTBEAT, self._heartbeat, label="meter:heartbeat",
-                              maintenance=True)
+        if not self._armed:
+            return
+        sim = self.sim
+        at = sim.now + HEARTBEAT
+        upcoming = sim.next_event_time()
+        if upcoming is not None:
+            while at < upcoming:
+                at += HEARTBEAT
+        sim.schedule_at(at, self._heartbeat, label="meter:heartbeat",
+                        maintenance=True)
+
+    def _exchange_deadline(self) -> float:
+        """Latest timeout deadline any of the device's transport clients
+        has armed: every exchange launched up to now resolves by then."""
+        device = self.device
+        return max(device.udp.deadline, device.tcp.deadline,
+                   device.dns.deadline)
 
     def _on_event(self) -> None:
-        self._changed_at = self.sim.now
+        self._changed_after = max(self._exchange_deadline(), self.sim.now)
         if self._armed:
             self._schedule_check(EVENT_CHECK_DELAY)
 
@@ -192,7 +222,9 @@ class DisruptionMeter:
             return
         self.measurement.checks += 1
         if self.oracle.ok(self.target):
-            self.measurement.recovered_at = self.sim.now
+            now = self.sim.now
+            self.measurement.recovered_at = now
+            self._settle_after = max(self._exchange_deadline(), now)
             self._armed = False
 
     def disarm(self) -> None:
@@ -213,19 +245,24 @@ class DisruptionMeter:
         mid-failure-episode, no NAS procedure or legacy retry in flight,
         no Android detector primed to trip, and no SEED component
         (applet decision, escort sequence, downlink fragment, OTA flush)
-        with pending work. A recovered measurement needs the rest of the
-        device quiet too; an open one is handled by
-        :meth:`_censored_settled`. Every check reads state that the
-        corresponding subsystem exposes for exactly this purpose; the
-        checks are ordered cheapest-first because the kernel calls this
-        once per event while the heap is maintenance-only.
+        with pending work. A recovered measurement needs the clock past
+        every exchange deadline armed up to recovery and the rest of the
+        device quiet, every app and Android's probe on a path that
+        passes; an open one is
+        handled by :meth:`_censored_settled`. Every check reads state
+        that the corresponding subsystem exposes for exactly this
+        purpose; the checks are ordered cheapest-first because the
+        kernel calls this once per event while the heap is
+        maintenance-only.
         """
         measurement = self.measurement
         if measurement is None:
             return False
         if measurement.recovered_at is None:
             return self._censored_settled()
-        if self.sim.now < measurement.recovered_at + SETTLE_GRACE:
+        # Every exchange launched up to recovery has resolved and left
+        # its trace in the state read below.
+        if self.sim.now <= self._settle_after:
             return False
         device = self.device
         if not device.modem.procedures_idle():
@@ -235,9 +272,18 @@ class DisruptionMeter:
                 return False
         if not device.android.detectors_quiet():
             return False
-        if not self.oracle.ok(self.target):
+        oracle = self.oracle
+        if not oracle.ok(self.target):
             return False
-        return self._seed_idle()
+        if not self._seed_idle():
+            return False
+        # Every later exchange, an app's or Android's probe, runs on a
+        # path that passes: the look-ahead of detectors_quiet() and the
+        # apps' quiet() rest on it.
+        for app in device.apps.values():
+            if not oracle.ok(_app_target(app.profile)):
+                return False
+        return oracle.ok(self._probe_target)
 
     def _censored_settled(self) -> bool:
         """The open-measurement branch of :meth:`settled`.
@@ -252,7 +298,7 @@ class DisruptionMeter:
         to send, every other app is quiet on a working flow, and Android
         either holds a stall that can never clear (its probe is blocked
         by configuration; no rung pending) or has quiet detectors on a
-        working probe path.
+        working probe path with no blocked TCP app.
         """
         device = self.device
         # O(1) gate: only a config-level block can censor a run for good.
@@ -260,10 +306,10 @@ class DisruptionMeter:
         policy = self._policies.get(device.supi)
         if (policy is None or not policy.blocked) and not self._upf.rules:
             return False
-        # Every exchange launched before the last connectivity change
+        # Every exchange launched up to the last connectivity change
         # (session recycle, reattach, resolver switch) has resolved.
-        changed_at = self._changed_at
-        if changed_at is not None and self.sim.now < changed_at + SETTLE_GRACE:
+        changed_after = self._changed_after
+        if changed_after is not None and self.sim.now <= changed_after:
             return False
         oracle = self.oracle
         if not oracle.config_blocked(self.target):
@@ -272,17 +318,23 @@ class DisruptionMeter:
             return False
         if not self._seed_idle():
             return False
+        tcp_blocked = False
         for app in device.apps.values():
             target = _app_target(app.profile)
             if oracle.config_blocked(target):
                 if not app.reported_open():
                     return False
+                tcp_blocked = tcp_blocked or target.needs_tcp
             elif not (app.quiet() and oracle.ok(target)):
                 return False
         android = device.android
         if oracle.config_blocked(self._probe_tcp):
             return android.stall_spent()
-        return android.detectors_quiet() and oracle.ok(self._probe_target)
+        # A blocked TCP app keeps feeding failed attempts to the TCP
+        # detector, which the look-ahead of detectors_quiet() assumes
+        # never happens.
+        return (not tcp_blocked and android.detectors_quiet()
+                and oracle.ok(self._probe_target))
 
     def _seed_idle(self) -> bool:
         """No SEED component on this device has work pending."""

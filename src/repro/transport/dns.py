@@ -49,6 +49,9 @@ class DnsClient:
         #: Times of the trailing run of timeouts in ``history``
         #: (non-decreasing; emptied by any other outcome).
         self._timeout_run: list[float] = []
+        #: Latest timeout deadline armed so far (0.0: none). Every query
+        #: launched up to now has resolved once the clock is past it.
+        self.deadline = 0.0
 
     def configure(self, server_ip: str) -> None:
         self.server_ip = server_ip
@@ -79,6 +82,8 @@ class DnsClient:
         timeout_event = self.sim.schedule(
             timeout, self._on_timeout, name, start, state, callback, label="dns:timeout"
         )
+        if timeout_event.time > self.deadline:
+            self.deadline = timeout_event.time
 
         def on_response(response: Packet) -> None:
             if state["answered"]:

@@ -78,6 +78,10 @@ class TcpClient:
         self.device_ip = device_ip
         self.stats = TcpStats()
         self.connections: list[TcpConnection] = []
+        #: Latest timeout deadline armed so far (0.0: none). Every
+        #: handshake or request launched up to now has resolved once the
+        #: clock is past it.
+        self.deadline = 0.0
 
     def connect(
         self,
@@ -103,6 +107,8 @@ class TcpClient:
         timeout_event = self.sim.schedule(
             timeout, self._on_connect_timeout, conn, state, callback, label="tcp:syn-timeout"
         )
+        if timeout_event.time > self.deadline:
+            self.deadline = timeout_event.time
 
         def on_synack(response: Packet) -> None:
             if state["done"]:
@@ -154,6 +160,8 @@ class TcpClient:
         timeout_event = self.sim.schedule(
             timeout, self._on_request_timeout, state, callback, label="tcp:req-timeout"
         )
+        if timeout_event.time > self.deadline:
+            self.deadline = timeout_event.time
 
         def on_reply(response: Packet) -> None:
             if state["done"]:

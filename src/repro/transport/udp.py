@@ -42,6 +42,10 @@ class UdpClient:
         self.user_plane = user_plane
         self.device_ip = device_ip
         self.history: list[UdpOutcome] = []
+        #: Latest timeout deadline armed so far (0.0: none). Every
+        #: exchange launched up to now has resolved once the clock is
+        #: past it.
+        self.deadline = 0.0
 
     def exchange(
         self,
@@ -70,6 +74,8 @@ class UdpClient:
             timeout, self._on_timeout, dst_ip, dst_port, start, callback,
             label="udp:timeout",
         )
+        if timeout_event.time > self.deadline:
+            self.deadline = timeout_event.time
 
         def on_reply(response: Packet) -> None:
             if not timeout_event.cancel():

@@ -11,8 +11,10 @@ is pinned in isolation.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -171,6 +173,32 @@ class TestCache:
             rules_fingerprint(["DET002"], True)
         assert rules_fingerprint(["DET001"], True) != \
             rules_fingerprint(["DET001"], False)
+
+    def test_edited_rule_is_not_served_from_a_warm_cache(self, tmp_path):
+        """Two linter trees that differ only in DET001's message, one
+        cache directory: the second run must print its own message."""
+        import repro.lint
+
+        tree = tmp_path / "src"
+        (tree / "repro").mkdir(parents=True)
+        (tree / "repro" / "__init__.py").write_text("")
+        lint_copy = tree / "repro" / "lint"
+        shutil.copytree(Path(repro.lint.__file__).parent, lint_copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        target = FIXTURES / "det" / "bad_det001.py"
+
+        def lint() -> str:
+            return subprocess.run(
+                [sys.executable, "-m", "repro.lint", str(target), "--no-scope",
+                 "--cache-dir", str(tmp_path / "cache")],
+                env={**os.environ, "PYTHONPATH": str(tree)},
+                capture_output=True, text=True, check=False).stdout
+
+        assert "inject a clock or derive" in lint()  # warms the cache
+        det = lint_copy / "rules" / "det.py"
+        det.write_text(det.read_text().replace(
+            "inject a clock or derive", "inject a test clock or derive"))
+        assert "inject a test clock or derive" in lint()
 
     def test_stats_flag_reports_cache_telemetry(self, tmp_path, capsys):
         argv = [str(FIXTURES / "det"), "--no-scope",

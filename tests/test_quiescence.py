@@ -13,12 +13,25 @@ from __future__ import annotations
 
 import json
 
-from repro.device.android import StallEvent, StallReason
+import pytest
+from hypothesis import HealthCheck, Phase, assume, given, settings, strategies as st
+
+from repro.device.android import AndroidOs, StallEvent, StallReason
 from repro.fleet.planner import plan_matrix
 from repro.fleet.runner import FleetRunner
+from repro.infra.upf import BlockRule
 from repro.simkernel import PeriodicSampler, Monitor, Simulator
+from repro.testbed import harness
 from repro.testbed.harness import HandlingMode, Testbed, run_one
-from repro.testbed.scenarios import scenario_by_name
+from repro.testbed.measurement import HEARTBEAT, DisruptionMeter
+from repro.testbed.scenarios import (
+    ALL_SCENARIOS,
+    ConnectivityTarget,
+    scenario_by_name,
+)
+from repro.transport.dns import DnsClient
+from repro.transport.packets import Protocol
+from repro.transport.tcp import TcpClient
 
 
 class Ticker:
@@ -388,3 +401,300 @@ class TestPurgeSessionsApi:
     def test_amf_cleanup_hook_uses_public_name(self):
         testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
         assert testbed.core.amf.cleanup_hook == testbed.core.purge_sessions
+
+
+class TestNextEventTime:
+    def test_empty_heap_is_none(self):
+        assert Simulator().next_event_time() is None
+
+    def test_cancelled_heads_are_discarded(self):
+        sim = Simulator()
+        first = sim.schedule(1.0, lambda: None)
+        second = sim.schedule(2.0, lambda: None)
+        sim.schedule_fire(3.0, lambda: None)
+        first.cancel()
+        second.cancel()
+        assert sim.next_event_time() == 3.0
+        assert len(sim._heap) == 1  # the cancelled heads were popped
+        sim.run_until_idle()
+        assert sim.next_event_time() is None
+
+    def test_only_cancelled_entries_is_none(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None).cancel()
+        assert sim.next_event_time() is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.booleans(), st.booleans()),
+                    max_size=25))
+    def test_equals_the_time_run_fires_next(self, specs):
+        """(delay, cancelled, fire-and-forget) schedules, some chaining
+        a child: each ``next_event_time()`` is the time of the next
+        batch ``run`` fires."""
+        sim = Simulator()
+        fired: list[float] = []
+
+        def note(chain: bool) -> None:
+            fired.append(sim.now)
+            if chain:
+                sim.schedule(0.5, note, False)
+
+        for delay, cancelled, bare in specs:
+            if bare:
+                sim.schedule_fire(delay / 4, note, cancelled)
+            else:
+                event = sim.schedule(delay / 4, note, False)
+                if cancelled:
+                    event.cancel()
+        while True:
+            upcoming = sim.next_event_time()
+            if upcoming is None:
+                assert sim.pending_events == 0
+                break
+            before = len(fired)
+            sim.run(until=upcoming)
+            assert len(fired) > before
+            assert set(fired[before:]) == {upcoming}
+
+
+class EagerHeartbeatMeter(DisruptionMeter):
+    """The reference heartbeat: re-armed on every grid point, whether
+    or not anything could have changed since the last check."""
+
+    def _heartbeat(self) -> None:
+        if not self._armed:
+            return
+        self._check()
+        if self._armed:
+            self.sim.schedule(HEARTBEAT, self._heartbeat,
+                              label="meter:heartbeat", maintenance=True)
+
+
+def observables(result, testbed):
+    """Everything a run reports: the record fields, learning, app-level
+    reads and failure state (``checks`` and elision are audit data)."""
+    measurement = result.measurement
+    return ((result.scenario, result.handling, measurement.onset,
+             measurement.recovered_at, result.duration, result.recovered,
+             result.timed, result.notified_user, result.horizon),
+            testbed.learning_records(), app_reads(testbed),
+            failure_state(testbed))
+
+
+class TestLazyHeartbeat:
+    """The parity suites compare two runs that share the lazy heartbeat,
+    so they cannot catch a bug in it; this compares it with the eager
+    chain it replaces, on every matrix cell."""
+
+    @pytest.mark.parametrize("full_horizon", [False, True])
+    def test_matches_the_eager_heartbeat_on_every_cell(
+            self, monkeypatch, full_horizon):
+        if full_horizon:
+            monkeypatch.setenv("REPRO_FULL_HORIZON", "1")
+        else:
+            monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
+        lazy_events = eager_events = 0
+        for seed in (1001, 2718):
+            for scenario in ALL_SCENARIOS:
+                for handling in HandlingMode:
+                    lazy, lazy_tb = run_one(scenario, handling, seed=seed)
+                    monkeypatch.setattr(harness, "DisruptionMeter",
+                                        EagerHeartbeatMeter)
+                    eager, eager_tb = run_one(scenario, handling, seed=seed)
+                    monkeypatch.setattr(harness, "DisruptionMeter",
+                                        DisruptionMeter)
+                    name = (scenario.name, handling, seed)
+                    assert isinstance(eager_tb.meter, EagerHeartbeatMeter)
+                    assert (observables(lazy, lazy_tb)
+                            == observables(eager, eager_tb)), name
+                    lazy_events += lazy_tb.sim.fired_events
+                    eager_events += eager_tb.sim.fired_events
+        assert lazy_events < eager_events
+
+
+class TestHeartbeatGrid:
+    def _blocked_meter(self):
+        testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
+        testbed.warm_up()
+        upf = testbed.core.upf
+        # Configuration the meter hears nothing about when it changes.
+        upf.rules.append(BlockRule(protocol=Protocol.TCP, port=443))
+        meter = DisruptionMeter(testbed.sim, testbed.core, testbed.device,
+                                ConnectivityTarget(needs_dns=False))
+        meter.start()
+        return testbed.sim, upf, meter
+
+    def test_silent_change_on_a_grid_point_is_seen_there(self):
+        """A change landing exactly on a skipped-to grid point fires
+        before the heartbeat, as it did before the eager re-arm."""
+        sim, upf, meter = self._blocked_meter()
+        onset = meter.measurement.onset
+        lifted = onset + 3 * HEARTBEAT
+        sim.schedule_at(lifted, upf.rules.clear)
+        sim.run(until=onset + 30.0)
+        assert meter.measurement.recovered_at == lifted
+
+    def test_silent_change_between_grid_points_is_seen_at_the_next(self):
+        sim, upf, meter = self._blocked_meter()
+        onset = meter.measurement.onset
+        sim.schedule_at(onset + 5.1, upf.rules.clear)
+        sim.run(until=onset + 30.0)
+        assert meter.measurement.recovered_at == onset + 3 * HEARTBEAT
+
+
+def _bare_android(now: float) -> AndroidOs:
+    sim = Simulator()
+    sim.now = now
+    return AndroidOs(sim, None, None, DnsClient(sim, None), TcpClient(sim, None))
+
+
+def _window_only(android: AndroidOs, window: float = 60.0) -> bool:
+    """Mutant reference for the property below: judges the failure rate
+    of the whole current window only, no suffix."""
+    stats = android.tcp.stats
+    now = android.sim.now
+    return (stats.failure_rate(now, window) < 0.8
+            and not stats.outbound_without_inbound(now, window))
+
+
+def _ticks_stay_green(android, attempts, outbound, inbound, ahead, added,
+                      quiet) -> None:
+    stats = android.tcp.stats
+    stats.attempts = sorted((float(t), ok) for t, ok in attempts)
+    stats.outbound = sorted(float(t) for t in outbound)
+    stats.inbound = sorted(float(t) for t in inbound)
+    now = android.sim.now
+    assume(quiet(android))
+    tick = now + ahead
+    for offset in sorted(added):
+        at = now + ahead * offset / 1000
+        stats.note_outbound(at)
+        stats.note_attempt(at, True)
+        stats.note_inbound(at)
+    assert stats.failure_rate(tick) <= 0.8
+    assert not stats.outbound_without_inbound(tick)
+
+
+#: Histories around a 60 s window ending at 120 s; later ticks up to
+#: 75 s ahead (past 60 s a tick sees only the added successes).
+HISTORY = dict(
+    attempts=st.lists(st.tuples(st.integers(50, 120), st.booleans()),
+                      max_size=30),
+    outbound=st.lists(st.integers(50, 120), max_size=16),
+    inbound=st.lists(st.integers(0, 120), max_size=6),
+    ahead=st.integers(1, 75),
+    added=st.lists(st.integers(0, 1000), max_size=8),
+)
+
+
+class TestAndroidLookAhead:
+    """``detectors_quiet()`` accepts failed attempts still inside the
+    window only when no later evaluation tick can trip on them."""
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(**HISTORY)
+    def test_quiet_detectors_never_trip_at_a_later_tick(
+            self, attempts, outbound, inbound, ahead, added):
+        _ticks_stay_green(_bare_android(120.0), attempts, outbound, inbound,
+                          ahead, added, AndroidOs.detectors_quiet)
+
+    def test_property_catches_a_whole_window_mutant(self):
+        """The same property, run against a predicate that judges only
+        the current window, finds a window whose old successes age out
+        first."""
+
+        @settings(max_examples=400, deadline=None, derandomize=True,
+                  database=None, phases=[Phase.generate],
+                  suppress_health_check=[HealthCheck.filter_too_much])
+        @given(**HISTORY)
+        def mutant_property(attempts, outbound, inbound, ahead, added):
+            _ticks_stay_green(_bare_android(120.0), attempts, outbound,
+                              inbound, ahead, added, _window_only)
+
+        with pytest.raises(AssertionError):
+            mutant_property()
+
+    def test_whole_window_check_alone_is_not_enough(self):
+        android = _bare_android(120.0)
+        android.tcp.stats.attempts = [(61.0, True)] * 4 + [(100.0, False)] * 4
+        assert _window_only(android)
+        assert not android.detectors_quiet()
+        assert android.tcp.stats.failure_rate(150.0) > 0.8
+
+    def test_outbounds_after_the_last_inbound_are_bounded(self):
+        android = _bare_android(120.0)
+        stats = android.tcp.stats
+        stats.inbound = [70.0]
+        stats.outbound = [80.0 + i for i in range(11)]
+        assert not stats.outbound_without_inbound(120.0)  # green today
+        assert not android.detectors_quiet()
+        assert stats.outbound_without_inbound(135.0)  # once 70 s ages out
+        stats.outbound.pop(0)
+        assert android.detectors_quiet()
+
+    def test_failed_attempts_in_the_window_no_longer_block(self):
+        android = _bare_android(120.0)
+        android.tcp.stats.attempts = [(70.0, False)] + [(80.0, True)] * 4
+        android.tcp.stats.inbound = [80.0]
+        assert android.detectors_quiet()
+
+
+class TestSettledPaths:
+    """The look-ahead of ``detectors_quiet()`` assumes every later TCP
+    attempt succeeds; both branches of ``settled()`` enforce that."""
+
+    def test_recovered_run_needs_a_passing_probe_path(self):
+        testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
+        testbed.warm_up()
+        sim = testbed.sim
+        meter = DisruptionMeter(sim, testbed.core, testbed.device,
+                                ConnectivityTarget(needs_tcp=False, needs_udp=True,
+                                                   needs_dns=False, port=9000))
+        meter.start()
+        assert meter.measurement.recovered_at == sim.now
+        upf = testbed.core.upf
+        upf.rules.append(BlockRule(protocol=Protocol.TCP, port=443))
+        sim.run(until=sim.now + 1.0)
+        assert not meter.settled()  # the next validation probe would fail
+        upf.rules.clear()
+        assert meter.settled()
+
+    def test_blocked_tcp_app_vetoes_a_censored_stop(self, monkeypatch):
+        testbed = Testbed(seed=3, handling=HandlingMode.LEGACY)
+        testbed.warm_up()
+        sim, device = testbed.sim, testbed.device
+        testbed.core.config_store.policy_for(device.supi).blocked.add(
+            ("tcp", "both", 1935))
+        meter = DisruptionMeter(sim, testbed.core, device,
+                                ConnectivityTarget(needs_dns=False, port=1935))
+        meter.start()
+        app = device.launch_app("live_stream")
+        sim.run(until=sim.now + 6.0)
+        assert app.reported_open()
+        monkeypatch.setattr(device.android, "detectors_quiet", lambda: True)
+        assert not meter.settled()
+        # The same stop is fine once no blocked app talks TCP.
+        del device.apps["live_stream"]
+        assert meter.settled()
+
+
+class TestSettleCost:
+    """Machine-independent pins of what the three rules save."""
+
+    def test_recovered_run_stops_at_its_last_exchange_deadline(
+            self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
+        result, testbed = run_one(scenario_by_name("dd_gateway_stale"),
+                                  HandlingMode.SEED_R, seed=1001)
+        assert result.recovered
+        # A fixed 10 s grace after recovery used to stop it 10.04 s on.
+        assert testbed.sim.quiesced_at - result.measurement.recovered_at < 3.0
+
+    def test_legacy_run_fires_no_idle_heartbeats(self, monkeypatch):
+        monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
+        result, testbed = run_one(scenario_by_name("cp_identity_desync"),
+                                  HandlingMode.LEGACY, seed=1001)
+        assert result.recovered
+        # 525 with an eager 2 s heartbeat and the 10 s grace.
+        assert testbed.sim.fired_events <= 250

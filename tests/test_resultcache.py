@@ -118,6 +118,46 @@ class TestRoundtrip:
         assert [p.name for p in tmp_path.rglob("*.tmp")] == []
 
 
+class TestStoreReusesLookupKey:
+    def test_inline_sweep_derives_each_key_once(self, tmp_path, monkeypatch):
+        """The inline store of a miss reuses the key its lookup derived:
+        one ``task_key`` call per stored task, and every stored frame
+        still carries ``task_key(task, code)``."""
+        from repro.fleet import resultcache
+
+        derived = []
+        real_task_key = resultcache.task_key
+
+        def counting_task_key(task, code):
+            derived.append(task.task_id)
+            return real_task_key(task, code)
+
+        monkeypatch.setattr(resultcache, "task_key", counting_task_key)
+        plan = fast_plan()
+        cache = ResultCache(tmp_path / "cache")
+        report = run_once(plan, tmp_path / "cold", cache, executor="inline")
+
+        tasks = plan.tasks
+        assert report.cache_misses == len(tasks)
+        assert sorted(derived) == sorted(task.task_id for task in tasks)
+        stored = [raw_key
+                  for name in sorted(os.listdir(cache._dir))
+                  for _, raw_key, _ in resultcache._frames(
+                      os.path.join(cache._dir, name), 0,
+                      os.path.getsize(os.path.join(cache._dir, name)))]
+        assert sorted(stored) == sorted(
+            bytes.fromhex(real_task_key(task, cache.generation))
+            for task in tasks)
+
+    def test_stale_miss_of_another_task_is_not_reused(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        assert cache.lookup(TASK) is None
+        other = dataclasses.replace(TASK, seed=TASK.seed + 1)
+        assert cache.store(other, RECORD, LEARNING)
+        assert cache.lookup(TASK) is None
+        assert cache.lookup(other) is not None
+
+
 class TestDamage:
     """Every byte of an entry is load-bearing; no damage may raise."""
 

@@ -251,6 +251,43 @@ class TestUdpClient:
         assert udp.recent_loss_rate() == 1.0
 
 
+class TestExchangeDeadline:
+    """Each client keeps the latest timeout deadline it armed: once the
+    clock is past it, every exchange launched so far has resolved."""
+
+    def test_latest_armed_deadline_wins(self):
+        sim = Simulator()
+        plane = StubPlane(sim)
+        udp, tcp = UdpClient(sim, plane), TcpClient(sim, plane)
+        dns = DnsClient(sim, plane)
+        dns.configure("198.51.100.53")
+        assert (udp.deadline, tcp.deadline, dns.deadline) == (0.0, 0.0, 0.0)
+        udp.exchange("x", 9000, lambda outcome: None, timeout=3.0)
+        udp.exchange("x", 9000, lambda outcome: None, timeout=0.25)
+        tcp.connect("x", 443, lambda conn: None, timeout=6.0)
+        dns.query("example.net", lambda outcome: None, timeout=5.0)
+        assert (udp.deadline, tcp.deadline, dns.deadline) == (3.0, 6.0, 5.0)
+        sim.run_until_idle()  # replies cancel the timers; deadlines stay
+        assert (udp.deadline, tcp.deadline, dns.deadline) == (3.0, 6.0, 5.0)
+
+    def test_request_timeout_extends_the_tcp_deadline(self):
+        sim = Simulator()
+        tcp = TcpClient(sim, StubPlane(sim))
+        conns = []
+        tcp.connect("x", 443, conns.append, timeout=1.0)
+        sim.run(until=0.5)
+        tcp.request(conns[0], lambda ok: None, timeout=10.0)
+        assert tcp.deadline == sim.now + 10.0
+
+    def test_resolution_never_outlives_the_deadline(self):
+        sim = Simulator()
+        udp = UdpClient(sim, StubPlane(sim, {Protocol.UDP: "silent"}))
+        outcomes = []
+        udp.exchange("x", 9000, outcomes.append, timeout=1.5)
+        sim.run(until=udp.deadline)
+        assert outcomes and outcomes[0].time <= udp.deadline
+
+
 class TestProber:
     def make(self, behaviour=None):
         sim = Simulator()
