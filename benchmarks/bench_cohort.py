@@ -11,8 +11,8 @@ its members while the per-UE simulation work stays byte-identical
 
 Also records the harness-level per-UE marginal cost: wall seconds per
 UE inside a single :class:`repro.testbed.harness.Cohort` run next to a
-dedicated single-UE ``run_one``, isolating what infra sharing alone
-buys from what scheduling-unit amortisation buys.
+one-UE ``run_one`` (a one-member cohort), isolating what infra sharing
+alone buys from what scheduling-unit amortisation buys.
 
 Run directly (no pytest needed)::
 
@@ -99,7 +99,7 @@ def bench_fleet(quick: bool) -> dict:
 
 
 def bench_harness_marginal(quick: bool) -> dict:
-    """Per-UE wall cost: dedicated testbeds vs one shared cohort."""
+    """Per-UE wall cost: one-UE runs vs one shared cohort."""
     n = 32 if quick else 64
     scenario = scenario_by_name(SCENARIO)
     started = time.perf_counter()

@@ -58,7 +58,7 @@ def deploy_seed(
     for device in devices:
         # Mixed cohorts deploy SEED for a subset of UEs: the plugin only
         # serves the devices actually handed to deploy_seed, so legacy
-        # cohort members see a plain network (single-UE parity).
+        # cohort members see a plain network (one-member parity).
         plugin.enroll(device.supi)
         applet = SeedApplet(
             k=device.profile.k,

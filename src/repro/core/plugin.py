@@ -68,12 +68,12 @@ class SeedCorePlugin:
             learning_rate=learning_rate,
             rand=lambda: self.sim.rng.random("seed.learning"),
         )
-        # Isolated cohort members get a private learner each, seeded
-        # from the UE's own "seed.learning" stream (parity with the
-        # learner a single-UE run would have built).
+        # Isolated UEs (every harness UE) get a private learner each,
+        # drawing from the UE's own "seed.learning" stream; the shared
+        # learner above serves cores built directly, as in unit tests.
         self._learners: dict[str, InfraLearner] = {}
-        # SUPIs this deployment serves; None = serve everyone (the
-        # legacy single-UE behaviour and direct-construction tests).
+        # SUPIs this deployment serves; None = serve everyone (a plugin
+        # built without deploy_seed, as in unit tests).
         self._enrolled: set[str] | None = None
         self._downlinks: dict[str, _DownlinkState] = {}
         self._uplinks: dict[str, UplinkReceiver] = {}
@@ -104,22 +104,27 @@ class SeedCorePlugin:
 
     def learner_for(self, supi: str) -> InfraLearner:
         """The learner owning this SUPI's crowdsourced records: a
-        private one for isolated cohort members, else the shared one."""
-        if supi and supi in self.core.isolated_supis:
-            learner = self._learners.get(supi)
-            if learner is None:
-                rng = self.core.ue_rng[supi]
-                learner = InfraLearner(
-                    learning_rate=self.learning_rate,
-                    rand=lambda: rng.random("seed.learning"),
-                )
-                self._learners[supi] = learner
-            return learner
-        return self.learner
+        private one for isolated UEs, else the shared one."""
+        learner = self._learners.get(supi)
+        if learner is None:
+            rng = self.core.ue_rng.get(supi)
+            if rng is None:
+                return self.learner
+            learner = InfraLearner(
+                learning_rate=self.learning_rate,
+                rand=lambda: rng.random("seed.learning"),
+            )
+            self._learners[supi] = learner
+        return learner
+
+    def adopt_learner(self, supi: str, learner: InfraLearner) -> None:
+        """Make ``learner`` own this SUPI's records from now on: an
+        operator learner that outlives one testbed (§7.2.4)."""
+        self._learners[supi] = learner
 
     def _scoped(self, supi: str) -> str:
         """The supi to scope store/NMS calls by ('' = global view)."""
-        return supi if supi in self.core.isolated_supis else ""
+        return supi if supi in self.core.ue_rng else ""
 
     def _downlink_for(self, supi: str) -> _DownlinkState:
         state = self._downlinks.get(supi)

@@ -201,7 +201,7 @@ class App:
         if not self.running:
             # Stopped (a frozen cohort member): an exchange still in
             # flight resolves into nobody's record, as it would past
-            # the end of a dedicated run.
+            # the end of a one-member run.
             return
         now = self.sim.now
         if success:

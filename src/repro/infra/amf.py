@@ -80,8 +80,8 @@ class Amf:
         # lower-layer (RLC) retransmissions that recover fast transients
         # without waiting for the NAS retry timer.
         self._parked: list[tuple[str, NasMessage]] = []
-        #: supi -> per-UE RngStreams (cohort isolation); empty for
-        #: single-UE testbeds, where RAND draws use sim.rng.
+        #: supi -> per-UE RngStreams (``CoreNetwork.ue_rng``); other
+        #: SUPIs draw RAND from sim.rng.
         self.ue_rng: dict = {}
         self.engine.on_clear.append(self._on_failure_cleared)
 
@@ -161,8 +161,7 @@ class Amf:
 
         # Mutual authentication (Milenage AKA).
         mil = record.milenage()
-        rng = self.ue_rng.get(supi) if self.ue_rng else None
-        rand_bits = (rng or self.sim.rng).stream("amf.rand").getrandbits
+        rand_bits = self.ue_rng.get(supi, self.sim.rng).stream("amf.rand").getrandbits
         rand = bytes(rand_bits(8) for _ in range(16))
         if ies.is_dflag(rand):  # astronomically unlikely; reserved value
             rand = b"\x00" * 15 + b"\x01"

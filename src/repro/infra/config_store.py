@@ -58,13 +58,13 @@ class UserPolicy:
 class ConfigStore:
     """Holds the current network configuration plus per-user policies.
 
-    Cohort runs give each isolated UE a **copy-on-write overlay** of the
-    global :class:`NetworkConfig`: scenario mutations scoped to one SUPI
-    land on that UE's overlay and are invisible to every other UE, which
-    is what makes a cohort member's behaviour byte-identical to a
-    single-UE run against its own private store. Reads resolve overlay
-    first (:meth:`config_for`); the classic single-UE path (no ``supi``)
-    keeps mutating the shared global config exactly as before.
+    Every harness UE gets a **copy-on-write overlay** of the global
+    :class:`NetworkConfig`: scenario mutations scoped to one SUPI land
+    on that UE's overlay and are invisible to every other UE, which is
+    what makes a cohort member's behaviour byte-identical to a
+    one-member run against its own private store. Reads resolve overlay
+    first (:meth:`config_for`); the unscoped path (no ``supi``; cores
+    built directly, as in unit tests) mutates the global config.
     """
 
     def __init__(self, config: NetworkConfig | None = None) -> None:

@@ -24,12 +24,12 @@ from repro.simkernel.simulator import Simulator
 class CoreNetwork:
     """The network side of the testbed.
 
-    Cohort support: :meth:`isolate_ue` registers a per-UE
+    Per-UE isolation: :meth:`isolate_ue` registers a UE's own
     :class:`RngStreams` (shared by reference with the gNB/UPF/AMF, which
-    fall back to ``sim.rng`` for unregistered SUPIs) and flips the NMS
-    to per-SUPI gauges for that subscriber. With every UE isolated, a
-    cohort member's interaction with the core is byte-identical to a
-    single-UE run seeded with the same derived seed.
+    draw from ``ue_rng.get(supi, sim.rng)``), its own address block and
+    its own NMS gauges. Every harness UE is isolated, so its interaction
+    with the core depends only on its own seed; unregistered SUPIs
+    (cores built directly, as in unit tests) draw from ``sim.rng``.
     """
 
     def __init__(
@@ -46,8 +46,6 @@ class CoreNetwork:
         self.cpu = CpuModel()
         #: supi -> per-UE RngStreams; shared by reference with gnb/upf/amf.
         self.ue_rng: dict[str, RngStreams] = {}
-        #: SUPIs with full parity isolation (rng + nms + config overlay).
-        self.isolated_supis: set[str] = set()
         self.gnb = Gnb(sim, radio_link)
         self.upf = Upf(sim, self.engine, self.config_store)
         self.amf = Amf(
@@ -65,16 +63,12 @@ class CoreNetwork:
         self.amf.cleanup_hook = self.purge_sessions
         self.seed_plugin = None  # set by repro.core.plugin when deployed
 
-    def isolate_ue(self, supi: str, rng: RngStreams,
-                   interference: bool = False) -> None:
-        """Register a cohort member's private RNG streams; unless the
-        cohort runs with cross-UE interference, also isolate its NMS
-        view so no shared gauges couple it to its neighbours."""
+    def isolate_ue(self, supi: str, rng: RngStreams) -> None:
+        """Register a UE's private RNG streams, address block and NMS
+        gauges, so nothing shared couples it to its neighbours."""
         self.ue_rng[supi] = rng
         self.smf.assign_subnet(supi)
-        if not interference:
-            self.isolated_supis.add(supi)
-            self.nms.isolate(supi)
+        self.nms.isolate(supi)
 
     def purge_sessions(self, supi: str) -> None:
         """Release all user-plane state for a (re)registering UE."""
@@ -111,13 +105,13 @@ class CoreNetwork:
 
 
 class ScopedCoreNetwork:
-    """A per-UE view of a shared core (cohort runs).
+    """A per-UE view of a shared core (every harness UE's ``core``).
 
-    Scenario builders written against a single-UE :class:`Testbed`
-    mutate ``core.config_store`` / ``core.nms`` globally; this facade
-    rebinds exactly those two to the UE's scoped views and delegates
-    everything else (AMF, SMF, UPF, engine, subscriber DB, ...) to the
-    real core, so the builders run unchanged inside a cohort.
+    Scenario builders mutate ``core.config_store`` / ``core.nms``; this
+    facade rebinds exactly those two to the UE's scoped views and
+    delegates everything else (AMF, SMF, UPF, engine, subscriber DB,
+    ...) to the real core. Hot paths bind what they need once (the
+    connectivity oracle and the meter hold the real UPF).
     """
 
     def __init__(self, core: CoreNetwork, supi: str) -> None:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.nas.messages import NasMessage
+from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 
 
@@ -31,12 +32,7 @@ class RadioLink:
     stdev: float = 0.008
     floor: float = 0.004
 
-    def sample(self, sim: Simulator, stream: str) -> float:
-        return sim.rng.gauss_clamped(stream, self.mean, self.stdev, self.floor)
-
-    def sample_from(self, rng, stream: str) -> float:
-        """Same draw as :meth:`sample`, from an explicit stream set —
-        cohort runs pass the UE's private :class:`RngStreams`."""
+    def sample(self, rng: RngStreams, stream: str) -> float:
         return rng.gauss_clamped(stream, self.mean, self.stdev, self.floor)
 
 
@@ -53,9 +49,9 @@ class Gnb:
         self.uplink_messages = 0
         self.downlink_messages = 0
         self.radio_up = True
-        #: supi -> per-UE RngStreams (cohort isolation); empty for
-        #: single-UE testbeds, where every draw uses sim.rng.
-        self.ue_rng: dict = {}
+        #: supi -> per-UE RngStreams (``CoreNetwork.ue_rng``); other
+        #: SUPIs draw from sim.rng.
+        self.ue_rng: dict[str, RngStreams] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -82,9 +78,7 @@ class Gnb:
         if not self.radio_up:
             return  # radio access broken: out of SEED's scope (§4.5)
         self.uplink_messages += 1
-        rng = self.ue_rng.get(supi) if self.ue_rng else None
-        delay = self.link.sample_from(rng, "gnb.uplink") if rng is not None \
-            else self.link.sample(self.sim, "gnb.uplink")
+        delay = self.link.sample(self.ue_rng.get(supi, self.sim.rng), "gnb.uplink")
         self.sim.schedule(delay, self._core_handler, supi, message, label="gnb:uplink")
 
     def downlink(self, supi: str, message: NasMessage) -> None:
@@ -93,9 +87,7 @@ class Gnb:
         if handler is None or not self.radio_up:
             return
         self.downlink_messages += 1
-        rng = self.ue_rng.get(supi) if self.ue_rng else None
-        delay = self.link.sample_from(rng, "gnb.downlink") if rng is not None \
-            else self.link.sample(self.sim, "gnb.downlink")
+        delay = self.link.sample(self.ue_rng.get(supi, self.sim.rng), "gnb.downlink")
         self.sim.schedule(delay, handler, message, label="gnb:downlink")
 
     # ------------------------------------------------------------------

@@ -40,13 +40,11 @@ class LoadGauge:
 class Nms:
     """Per-component load gauges plus congestion thresholds.
 
-    Cohort isolation: a SUPI registered through :meth:`isolate` gets its
+    Per-UE isolation: a SUPI registered through :meth:`isolate` gets its
     own pair of gauges and its own forced-congestion pin, so one UE's
     load (or a scenario's forced congestion) never leaks into another
-    isolated UE's view — the per-UE parity invariant. Non-isolated
-    SUPIs (and calls without a ``supi``) share the global gauges, which
-    is both the legacy single-UE behaviour and the cross-UE
-    interference mode.
+    UE's view. Other SUPIs, and calls without a ``supi``, share the
+    global gauges (cores built directly, as in unit tests).
     """
 
     def __init__(
@@ -62,63 +60,42 @@ class Nms:
         self.core_congestion_threshold = core_congestion_threshold
         self.events: list[tuple[float, str]] = []
         self._forced_congestion: str | None = None
-        self._isolated: set[str] = set()
         self._ue_ran: dict[str, LoadGauge] = {}
         self._ue_core: dict[str, LoadGauge] = {}
-        self._ue_forced: dict[str, str] = {}
+        self._ue_forced: dict[str, str | None] = {}
 
-    # -- cohort isolation ----------------------------------------------
     def isolate(self, supi: str) -> None:
         """Give ``supi`` private gauges + congestion state from now on."""
-        self._isolated.add(supi)
-
-    def _gauge(self, table: dict[str, LoadGauge], supi: str) -> LoadGauge:
-        gauge = table.get(supi)
-        if gauge is None:
-            gauge = LoadGauge()
-            table[supi] = gauge
-        return gauge
+        self._ue_ran[supi] = LoadGauge()
+        self._ue_core[supi] = LoadGauge()
+        self._ue_forced[supi] = None
 
     def note_ran_event(self, weight: float = 1.0, supi: str = "") -> None:
-        if supi and supi in self._isolated:
-            self._gauge(self._ue_ran, supi).bump(self.sim.now, weight)
-        else:
-            self.ran_load.bump(self.sim.now, weight)
+        self._ue_ran.get(supi, self.ran_load).bump(self.sim.now, weight)
 
     def note_core_event(self, weight: float = 1.0, supi: str = "") -> None:
-        if supi and supi in self._isolated:
-            self._gauge(self._ue_core, supi).bump(self.sim.now, weight)
-        else:
-            self.core_load.bump(self.sim.now, weight)
+        self._ue_core.get(supi, self.core_load).bump(self.sim.now, weight)
 
     def force_congestion(self, which: str | None, supi: str = "") -> None:
         """Test/scenario hook: pin congestion state ('ran'/'core'/None)."""
-        if supi and supi in self._isolated:
-            if which is None:
-                self._ue_forced.pop(supi, None)
-            else:
-                self._ue_forced[supi] = which
+        if supi in self._ue_forced:
+            self._ue_forced[supi] = which
         else:
             self._forced_congestion = which
 
     def congested(self, supi: str = "") -> str | None:
         """Return 'ran', 'core', or None."""
-        if supi and supi in self._isolated:
-            forced = self._ue_forced.get(supi)
-            if forced is not None:
-                return forced
-            core = self._ue_core.get(supi)
-            if core is not None and core.value(self.sim.now) > self.core_congestion_threshold:
-                return "core"
-            ran = self._ue_ran.get(supi)
-            if ran is not None and ran.value(self.sim.now) > self.ran_congestion_threshold:
-                return "ran"
-            return None
-        if self._forced_congestion is not None:
-            return self._forced_congestion
-        if self.core_load.value(self.sim.now) > self.core_congestion_threshold:
+        if supi in self._ue_forced:
+            forced = self._ue_forced[supi]
+            core, ran = self._ue_core[supi], self._ue_ran[supi]
+        else:
+            forced = self._forced_congestion
+            core, ran = self.core_load, self.ran_load
+        if forced is not None:
+            return forced
+        if core.value(self.sim.now) > self.core_congestion_threshold:
             return "core"
-        if self.ran_load.value(self.sim.now) > self.ran_congestion_threshold:
+        if ran.value(self.sim.now) > self.ran_congestion_threshold:
             return "ran"
         return None
 

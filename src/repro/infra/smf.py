@@ -74,7 +74,7 @@ class Smf:
         self.nms = nms
         self.cpu = cpu
         self._ip_counter = itertools.count(2)
-        # Cohort members get a private /24 each (assign_subnet), so UE
+        # Isolated UEs get a private /24 each (assign_subnet), so UE
         # address pools can never collide in upf.session_for_ip no
         # matter how many sessions each recycles. IP values never reach
         # run records, so this is parity-neutral.
@@ -106,7 +106,7 @@ class Smf:
     # Establishment
     # ------------------------------------------------------------------
     def assign_subnet(self, supi: str) -> None:
-        """Give a cohort member its own address block (idempotent)."""
+        """Give an isolated UE its own address block (idempotent)."""
         if supi in self._subnets:
             return
         index = len(self._subnets)

@@ -17,6 +17,7 @@ from typing import Callable
 
 from repro.infra.config_store import ConfigStore
 from repro.infra.failures import FailureEngine, FailureMode
+from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 from repro.transport.packets import Direction, Packet, Protocol, Verdict
 
@@ -80,26 +81,9 @@ class Upf:
         # mutation. Packets outnumber session changes by orders of
         # magnitude, so the linear scan runs once per (ip, epoch).
         self._ip_cache: dict[str, SessionContext] = {}
-        # Bound draw on the memoized latency stream; same stream, same
-        # draw sequence as rng.gauss_clamped("upf.latency", ...).
-        self._latency_gauss = sim.rng.stream("upf.latency").gauss
-        #: supi -> per-UE RngStreams (cohort isolation); empty for
-        #: single-UE testbeds.
-        self.ue_rng: dict = {}
-        # Per-supi bound gauss draws, same memoization as the shared one.
-        self._ue_latency_gauss: dict[str, Callable[[float, float], float]] = {}
-
-    def _latency_draw(self, supi: str) -> Callable[[float, float], float]:
-        if not self.ue_rng:
-            return self._latency_gauss
-        gauss = self._ue_latency_gauss.get(supi)
-        if gauss is None:
-            rng = self.ue_rng.get(supi)
-            if rng is None:
-                return self._latency_gauss
-            gauss = rng.stream("upf.latency").gauss
-            self._ue_latency_gauss[supi] = gauss
-        return gauss
+        #: supi -> per-UE RngStreams (``CoreNetwork.ue_rng``); other
+        #: SUPIs draw from sim.rng.
+        self.ue_rng: dict[str, RngStreams] = {}
 
     # ------------------------------------------------------------------
     # Session management (driven by the SMF)
@@ -141,7 +125,8 @@ class Upf:
         if on_response is not None:
             reply = self._service_reply(packet, ctx)
             if reply is not None:
-                gauss = self._latency_draw(ctx.supi)(
+                rng = self.ue_rng.get(ctx.supi, self.sim.rng)
+                gauss = rng.stream("upf.latency").gauss(
                     self.ONE_WAY_LATENCY_MEAN, self.ONE_WAY_LATENCY_STDEV
                 )
                 rtt = 2 * (gauss if gauss > 0.002 else 0.002)

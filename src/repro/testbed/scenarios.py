@@ -24,7 +24,7 @@ from typing import Callable, TYPE_CHECKING
 from repro.infra.failures import ClearTrigger, FailureClass, FailureMode, FailureSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.testbed.harness import Testbed
+    from repro.testbed.harness import UeSlot
 
 
 @dataclass
@@ -55,16 +55,15 @@ class Scenario:
     name: str
     failure_class: FailureClass
     weight: float
-    build: Callable[["Testbed"], ScenarioInstance]
+    build: Callable[["UeSlot"], ScenarioInstance]
     timed: bool = True   # include in disruption distributions
     description: str = ""
 
 
-def _lognormal(testbed: "Testbed", stream: str, median: float, sigma: float,
+def _lognormal(testbed: "UeSlot", stream: str, median: float, sigma: float,
                lo: float, hi: float) -> float:
-    # Drawn from the run's own stream set (``testbed.rng``): a cohort
-    # member's private streams, or the simulator's for single-UE runs —
-    # same draw sequence either way for the same seed.
+    # Drawn from the UE's own stream set (``testbed.rng``), so a draw
+    # depends only on the UE's seed, never on its neighbours.
     value = testbed.rng.lognormal(stream, math.log(median), sigma)
     return min(hi, max(lo, value))
 
@@ -72,7 +71,7 @@ def _lognormal(testbed: "Testbed", stream: str, median: float, sigma: float,
 # ---------------------------------------------------------------------------
 # Control-plane scenarios (Table 1 top half)
 # ---------------------------------------------------------------------------
-def _cp_timeout_transient(tb: "Testbed") -> ScenarioInstance:
+def _cp_timeout_transient(tb: "UeSlot") -> ScenarioInstance:
     """Brief core unresponsiveness; lower layers recover it quickly."""
     duration = _lognormal(tb, "scn.cp_fast", 0.7, 0.6, 0.2, 1.9)
     spec = FailureSpec(
@@ -86,7 +85,7 @@ def _cp_timeout_transient(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_TIMEOUT_TRANSIENT, specs=[tb.inject(spec)])
 
 
-def _cp_timeout_long(tb: "Testbed") -> ScenarioInstance:
+def _cp_timeout_long(tb: "UeSlot") -> ScenarioInstance:
     """Core overload: unresponsive for tens of seconds to minutes."""
     duration = _lognormal(tb, "scn.cp_long", 55.0, 0.8, 15.0, 290.0)
     spec = FailureSpec(
@@ -101,7 +100,7 @@ def _cp_timeout_long(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_TIMEOUT_LONG, specs=[tb.inject(spec)])
 
 
-def _cp_state_desync(tb: "Testbed") -> ScenarioInstance:
+def _cp_state_desync(tb: "UeSlot") -> ScenarioInstance:
     """'Message type not compatible with the protocol state' (#98):
     transient state mismatch that one more attempt resolves."""
     spec = FailureSpec(
@@ -116,7 +115,7 @@ def _cp_state_desync(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_STATE_DESYNC, specs=[tb.inject(spec)])
 
 
-def _cp_no_suitable_cell(tb: "Testbed") -> ScenarioInstance:
+def _cp_no_suitable_cell(tb: "UeSlot") -> ScenarioInstance:
     """'No suitable cells in tracking area' (#15): clears on the next
     attempt once cell reselection lands (or ambient recovery)."""
     spec = FailureSpec(
@@ -131,7 +130,7 @@ def _cp_no_suitable_cell(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_NO_SUITABLE_CELL, specs=[tb.inject(spec)])
 
 
-def _cp_identity_desync(tb: "Testbed") -> ScenarioInstance:
+def _cp_identity_desync(tb: "UeSlot") -> ScenarioInstance:
     """'UE identity cannot be derived' (#9): the network lost the GUTI
     mapping after a tracking-area move. Blind retries with the stale
     GUTI repeat the failure; a fresh-identity attach clears it."""
@@ -151,7 +150,7 @@ def _cp_identity_desync(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_IDENTITY_DESYNC, specs=[tb.inject(spec)])
 
 
-def _cp_plmn_config(tb: "Testbed") -> ScenarioInstance:
+def _cp_plmn_config(tb: "UeSlot") -> ScenarioInstance:
     """'PLMN not allowed' (#11): the device camps on an outdated PLMN
     priority; the network pushes the correct PLMN with the cause."""
     new_plmn = "00102"
@@ -173,7 +172,7 @@ def _cp_plmn_config(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_PLMN_CONFIG, specs=[tb.inject(spec)])
 
 
-def _cp_slice_config(tb: "Testbed") -> ScenarioInstance:
+def _cp_slice_config(tb: "UeSlot") -> ScenarioInstance:
     """'No network slices available' (#62): S-NSSAI must be updated."""
     new_sst = 2
     tb.core.config_store.config.allowed_sst = (new_sst,)
@@ -194,7 +193,7 @@ def _cp_slice_config(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_CP_SLICE_CONFIG, specs=[tb.inject(spec)])
 
 
-def _cp_subscription_expired(tb: "Testbed") -> ScenarioInstance:
+def _cp_subscription_expired(tb: "UeSlot") -> ScenarioInstance:
     """'5GS services not allowed' (#7): expired plan; only the user can
     recover (SEED shows a notification; legacy goes dormant)."""
     tb.core.subscriber_db.expire_subscription(tb.device.supi)
@@ -214,7 +213,7 @@ def _cp_subscription_expired(tb: "Testbed") -> ScenarioInstance:
 # ---------------------------------------------------------------------------
 # Data-plane scenarios (Table 1 bottom half)
 # ---------------------------------------------------------------------------
-def _dp_outdated_dnn(tb: "Testbed") -> ScenarioInstance:
+def _dp_outdated_dnn(tb: "UeSlot") -> ScenarioInstance:
     """'Missing or unknown DNN' (#27): the classic outdated-APN failure
     (§3.2's running example). The network now requires a new DNN."""
     new_dnn = "internet.v2"
@@ -236,7 +235,7 @@ def _dp_outdated_dnn(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_DP_OUTDATED_DNN, specs=[tb.inject(spec)])
 
 
-def _dp_not_subscribed(tb: "Testbed") -> ScenarioInstance:
+def _dp_not_subscribed(tb: "UeSlot") -> ScenarioInstance:
     """'Requested service option not subscribed' (#33) with a suggested
     DNN from the infrastructure (Appendix A)."""
     new_dnn = "ims.carrier"
@@ -258,7 +257,7 @@ def _dp_not_subscribed(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_DP_NOT_SUBSCRIBED, specs=[tb.inject(spec)])
 
 
-def _dp_invalid_mandatory(tb: "Testbed") -> ScenarioInstance:
+def _dp_invalid_mandatory(tb: "UeSlot") -> ScenarioInstance:
     """'Invalid mandatory information' (#96): a malformed/mismatched
     session parameter; the infra pushes the corrected values."""
     new_type = "IPv4v6"
@@ -280,7 +279,7 @@ def _dp_invalid_mandatory(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_DP_INVALID_MANDATORY, specs=[tb.inject(spec)])
 
 
-def _dp_transient(tb: "Testbed") -> ScenarioInstance:
+def _dp_transient(tb: "UeSlot") -> ScenarioInstance:
     """Transient SMF glitch; a repeated attempt succeeds."""
     duration = _lognormal(tb, "scn.dp_transient", 1.0, 0.7, 0.3, 8.0)
     spec = FailureSpec(
@@ -294,7 +293,7 @@ def _dp_transient(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_DP_TRANSIENT, specs=[tb.inject(spec)])
 
 
-def _dp_insufficient_resources(tb: "Testbed") -> ScenarioInstance:
+def _dp_insufficient_resources(tb: "UeSlot") -> ScenarioInstance:
     """'Insufficient resources' (#26): congestion; clears as load drains."""
     duration = _lognormal(tb, "scn.dp_resources", 45.0, 0.8, 10.0, 280.0)
     tb.core.nms.force_congestion("core")
@@ -313,7 +312,7 @@ def _dp_insufficient_resources(tb: "Testbed") -> ScenarioInstance:
     return ScenarioInstance(scenario=SCN_DP_RESOURCES, specs=[tb.inject(spec)])
 
 
-def _dp_user_auth_failed(tb: "Testbed") -> ScenarioInstance:
+def _dp_user_auth_failed(tb: "UeSlot") -> ScenarioInstance:
     """'User authentication or authorization failed' (#29): needs the
     subscriber to reactivate the plan (§7.1.1's unhandled 4.5%)."""
     spec = FailureSpec(
@@ -332,7 +331,7 @@ def _dp_user_auth_failed(tb: "Testbed") -> ScenarioInstance:
 # ---------------------------------------------------------------------------
 # Data-delivery scenarios (§3.1: TCP / UDP / DNS stalls)
 # ---------------------------------------------------------------------------
-def _dd_gateway_stale(tb: "Testbed") -> ScenarioInstance:
+def _dd_gateway_stale(tb: "UeSlot") -> ScenarioInstance:
     """Outdated gateway state after mobility: all flows black-hole until
     the PDU session is re-established (reconnection-recoverable)."""
     ambient = _lognormal(tb, "scn.dd_gateway", 600.0, 0.8, 120.0, 3000.0)
@@ -352,7 +351,7 @@ def _dd_gateway_stale(tb: "Testbed") -> ScenarioInstance:
     )
 
 
-def _dd_tcp_policy_block(tb: "Testbed") -> ScenarioInstance:
+def _dd_tcp_policy_block(tb: "UeSlot") -> ScenarioInstance:
     """Network-side policy misconfiguration blocks TCP (§7.1.1: naive
     retries cannot recover; SEED's report triggers the policy fix)."""
     tb.core.config_store.policy_for(tb.device.supi).blocked.add(("tcp", "both", None))
@@ -370,7 +369,7 @@ def _dd_tcp_policy_block(tb: "Testbed") -> ScenarioInstance:
     )
 
 
-def _dd_udp_block(tb: "Testbed") -> ScenarioInstance:
+def _dd_udp_block(tb: "UeSlot") -> ScenarioInstance:
     """UDP port blocking (widely reported under 5G, §3.1). App ports
     only — invisible to Android's detectors."""
     tb.core.config_store.policy_for(tb.device.supi).blocked.add(("udp", "both", None))
@@ -391,7 +390,7 @@ def _dd_udp_block(tb: "Testbed") -> ScenarioInstance:
     )
 
 
-def _dd_dns_outage(tb: "Testbed") -> ScenarioInstance:
+def _dd_dns_outage(tb: "UeSlot") -> ScenarioInstance:
     """Carrier LDNS outage (§3.1): the configured resolver stops
     answering; no OS fallback exists. SEED-R fails over via session
     modification after the SIM's report."""

@@ -1,10 +1,10 @@
 """Cohort testbeds: N UEs per simulator instance.
 
-The tentpole invariant under test: with cross-UE interference disabled,
-a cohort-of-N's per-UE results are **byte-identical** to N independent
-single-UE runs at the same derived seeds — through the harness directly
-and through the fleet path (``cohort_size`` shards), at one worker and
-at four. Plus the quiescence invariant: a cohort run that stops at
+The invariant under test: a cohort-of-N's per-UE results are
+**byte-identical** to N independent single-UE runs (one-member
+cohorts) at the same derived seeds — through the harness directly and
+through the fleet path (``cohort_size`` shards), at one worker and at
+four. Plus the quiescence invariant: a cohort run that stops at
 quiescence reports the same results as one burning the full horizon.
 """
 

@@ -1,5 +1,7 @@
 """Testbed and scenario-matrix tests: Table 4 shape assertions."""
 
+import copy
+
 import pytest
 
 from repro.analysis.cdf import percentile
@@ -46,6 +48,19 @@ class TestWarmUp:
         assert not oracle.ok(target)
         tb.warm_up()
         assert oracle.ok(target)
+
+
+class TestFacade:
+    def test_everything_per_ue_is_the_one_members(self):
+        tb = Testbed(seed=1, handling=HandlingMode.SEED_R)
+        [slot] = tb.cohort.slots
+        assert slot.seed == 1
+        for name in ("sim", "core", "device", "deployment", "rng", "applet"):
+            assert getattr(tb, name) is getattr(slot, name), name
+        assert tb.inject == slot.inject
+        # copy builds a bare instance first and probes it for hooks:
+        # the probe must fail cleanly, not recurse through the slot.
+        assert copy.copy(tb).device is tb.device
 
 
 SCENARIO_EXPECTATIONS = [
