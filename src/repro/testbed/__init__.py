@@ -14,7 +14,6 @@ from repro.testbed.harness import (
     HandlingMode,
     RunResult,
     Testbed,
-    run_cohort,
     run_suite,
 )
 from repro.testbed.measurement import ConnectivityOracle, DisruptionMeter
@@ -67,7 +66,6 @@ __all__ = [
     "ScenarioInstance",
     "Testbed",
     "preload",
-    "run_cohort",
     "run_suite",
     "scenario_by_name",
 ]

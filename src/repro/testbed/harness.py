@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 from repro.core.deploy import SeedDeployment, deploy_seed
@@ -226,26 +225,15 @@ class CohortMember:
 
 @dataclass
 class CohortResult:
-    """Outcome of one cohort run.
-
-    ``per_ue_wall_s`` is the headline metric: the wall-clock cost per
-    UE of this run — the quantity that must *fall* as cohort size grows
-    for cohorts to beat one-UE runs.
-    """
+    """Outcome of one cohort run: every member's result, in member
+    order, and the events quiescence elided."""
 
     results: list[RunResult]
     elided_events: int
-    wall_s: float
-    per_ue_wall_s: float
-    meta: dict = field(default_factory=dict)
 
     @property
     def cohort_size(self) -> int:
         return len(self.results)
-
-    def coverage(self) -> float:
-        """Fraction of members handled without user action."""
-        return coverage(self.results)
 
 
 class UeSlot:
@@ -443,21 +431,10 @@ class Cohort:
     # ------------------------------------------------------------------
     def run(self) -> CohortResult:
         """Warm up, launch every member, and run to quiescence."""
-        wall0 = time.perf_counter()
         self.warm_up()
         elided = self._run_members()
-        wall = time.perf_counter() - wall0
-        return CohortResult(
-            results=[slot.result for slot in self.slots],
-            elided_events=elided,
-            wall_s=wall,
-            per_ue_wall_s=wall / len(self.slots),
-            meta={
-                "cohort_size": len(self.slots),
-                "seed": self.seed,
-                "quiesced_at": self.sim.quiesced_at,
-            },
-        )
+        return CohortResult(results=[slot.result for slot in self.slots],
+                            elided_events=elided)
 
     def warm_up(self) -> None:
         """Boot every member to steady state (registered, session up)."""
@@ -601,8 +578,3 @@ class Cohort:
         if applet is not None:
             merge_records(wire, serialize_records(applet.recorder.records))
         return wire
-
-
-def run_cohort(members: list[CohortMember], seed: int = 0) -> CohortResult:
-    """Build and run one cohort (convenience wrapper)."""
-    return Cohort(members, seed=seed).run()
