@@ -7,6 +7,10 @@ hosts were merged: three fleet aggregates and the rendered tables of
 the small experiment runs in ``tests/test_experiments.py`` that drive
 a Testbed directly. A digest moves only when some run's record,
 learning state or rendered number moves.
+
+The data-delivery pins (``dd_gateway_stale_cohort4``, ``serve_probe``,
+``table5_delivery``) were recorded on the tree before UDP apps parked
+in a black hole: they cover the exchanges that time out after a clear.
 """
 
 from __future__ import annotations
@@ -36,6 +40,16 @@ AGGREGATES = {
     "matrix_cohort4": ({"kind": "matrix", "replicas": 4, "seed": 2718,
                         "cohort_size": 4},
                        "d2adabdbf2d681d299b4d256c6f8dc7bacfef98bf9af87b4552c9b2ace6ad183"),
+    "dd_gateway_stale_cohort4": (
+        {"kind": "matrix", "scenarios": ["dd_gateway_stale"], "replicas": 4,
+         "cohort_size": 4, "seed": 2718},
+        "c2ed16e1bd5a15313608788755f8dabc6375fa8bc938718eae2db3a24b1adb6d"),
+    # The shape of a perfbench serve probe.
+    "serve_probe": (
+        {"kind": "matrix",
+         "scenarios": ["cp_plmn_config", "dp_transient", "dd_gateway_stale"],
+         "replicas": 2, "seed": 2718},
+        "dfc5a74690447e5001d7398c7de7ce009f3f41cd423a115ff7d5d828b11a4c3f"),
 }
 
 RENDERS = {
@@ -45,6 +59,9 @@ RENDERS = {
     "table5": (lambda: table5.render(
         table5.run(apps=("video",), classes=("d_plane",))),
         "93dea0e25d48c8aa7ba6dcec79d6714ab54d4bfbffcd10859c98aeeab01788bc"),
+    "table5_delivery": (lambda: table5.render(
+        table5.run(apps=("edge_ar", "navigation"), classes=("d_delivery",))),
+        "bf54ca800d644f7bba18b51036872b676242a4cd66ac8f40b83ab7353b372cfe"),
     "figure11b": (lambda: figure11b.render(figure11b.run(seed=601)),
                   "f90d37068c5d8b94911359b7959391db7b3dfc3fe3ee820605196b800b71c96f"),
     "figure12": (lambda: figure12.render(figure12.run(exchanges=4, seed=701)),
