@@ -125,8 +125,6 @@ class Amf:
         # Network-unresponsive failures: drop the request silently.
         timeouts = self.engine.matching(supi, FailureClass.CONTROL_PLANE, FailureMode.TIMEOUT)
         if timeouts:
-            for failure in timeouts:
-                failure.hits += 1
             self.cpu.note_failure()
             self._parked.append((supi, msg))
             return
@@ -155,7 +153,6 @@ class Amf:
         rejects = self.engine.matching(supi, FailureClass.CONTROL_PLANE, FailureMode.REJECT)
         if rejects:
             failure = rejects[0]
-            failure.hits += 1
             self._reject_registration(supi, failure.spec.cause, failure_id=failure.failure_id)
             return
 

@@ -94,7 +94,6 @@ class ActiveFailure:
     cleared_at: float | None = None
     cleared_by: ClearTrigger | None = None
     retry_seen: bool = False
-    hits: int = 0  # procedures that ran into this failure
     clear_event: object = None  # pending AFTER_DURATION timer, if any
 
     def applies_to(self, supi: str) -> bool:

@@ -146,8 +146,6 @@ class Smf:
 
         timeouts = self.engine.matching(supi, FailureClass.DATA_PLANE, FailureMode.TIMEOUT)
         if timeouts:
-            for failure in timeouts:
-                failure.hits += 1
             self.cpu.note_failure()
             self._parked.append((supi, msg))
             return
@@ -168,7 +166,6 @@ class Smf:
             rejects = [f for f in rejects if not f.spec.config_field]
         if rejects:
             failure = rejects[0]
-            failure.hits += 1
             self._reject_establishment(
                 supi, msg.pdu_session_id, failure.spec.cause, failure_id=failure.failure_id
             )
