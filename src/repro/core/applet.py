@@ -71,6 +71,9 @@ TRIAL_TIMEOUT = {
 class SeedApplet(Applet):
     """Diagnosis + decision modules on the card."""
 
+    #: The persisted cause registry's bytes (see :meth:`on_install`).
+    _cause_registry: bytes | None = None
+
     def __init__(self, k: bytes, clock: Callable[[], float], rooted: bool = False,
                  grace_timer: float = CONTROL_PLANE_WAIT) -> None:
         # ~1244 lines of Java compile to roughly this bytecode size.
@@ -113,11 +116,15 @@ class SeedApplet(Applet):
     def on_install(self) -> None:
         # The full standardized cause registry lives on-card (§4.3.1);
         # it must fit the SIM storage budget — enforced by the runtime.
-        registry = {
-            "mm": {code: info.name for code, info in MM_CAUSES.items()},
-            "sm": {code: info.name for code, info in SM_CAUSES.items()},
-        }
-        self.persist("causes", json.dumps(registry, sort_keys=True).encode())
+        # Every card carries the same bytes: built once per process.
+        registry = SeedApplet._cause_registry
+        if registry is None:
+            registry = json.dumps({
+                "mm": {code: info.name for code, info in MM_CAUSES.items()},
+                "sm": {code: info.name for code, info in SM_CAUSES.items()},
+            }, sort_keys=True).encode()
+            SeedApplet._cause_registry = registry
+        self.persist("causes", registry)
         self.persist("records", b"{}")
 
     def bind(self, usim: UsimApplet, app_channel: Callable[[dict], None] | None) -> None:

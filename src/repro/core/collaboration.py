@@ -19,6 +19,7 @@ operator's OTA key-provisioning; only the operator and the SIM know K).
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -39,8 +40,13 @@ class CollaborationError(ValueError):
     """Malformed collaboration payload."""
 
 
+@functools.lru_cache(maxsize=64)
 def derive_channel_key(k: bytes) -> bytes:
-    """Derive the SEED diagnosis channel key from the in-SIM key K."""
+    """Derive the SEED diagnosis channel key from the in-SIM key K.
+
+    Memoized: every endpoint of a subscriber's channel derives the same
+    key, and a fleet builds one SEED deployment per task.
+    """
     return AES128(k).encrypt_block(b"SEED-DIAG-CHNKEY")
 
 
