@@ -24,8 +24,13 @@ wider than its bound is labelled ``unresolved``: these pairs cannot
 tell a change of that size from the runner's noise. The median rule
 still applies to it.
 
-Prints each run's values, then each metric's median and quartiles per
-side, and as its last line one JSON report: every run's result lines,
+Each metric also counts HEAD's pair wins, losses and ties: the pairs
+in which HEAD's value is better than, worse than or equal to BASE's of
+the same seed. They do not enter the verdict; a gain is claimed only
+when HEAD wins at least 9 pairs of 10.
+
+Prints each run's values, then each metric's median, quartiles and
+pair wins per side, and as its last line one JSON report: every run's result lines,
 the summary, the problems, ``cpu_count``, the Python version, the
 seeds and the pair count. Exits 0 when HEAD passes and 1 when it
 fails.
@@ -86,6 +91,28 @@ def regressed(metric: dict, base: float, head: float) -> bool:
     return head > base * (1.0 + metric["bound"])
 
 
+def pair_wins(metric: dict, workload: str, base: list[dict],
+              head: list[dict]) -> dict[str, int]:
+    """HEAD's wins, losses and ties against BASE, pair by pair, on one
+    metric of one workload; pairs missing a value on either side are
+    skipped."""
+    counts = {"wins": 0, "losses": 0, "ties": 0}
+    name = metric["name"]
+    for base_run, head_run in zip(base, head):
+        values = [run.get(workload, {}).get("metrics", {}).get(name)
+                  for run in (base_run, head_run)]
+        if None in values:
+            continue
+        base_value, head_value = (value["value"] for value in values)
+        if head_value == base_value:
+            counts["ties"] += 1
+        elif (head_value > base_value) == (metric["better"] == "higher"):
+            counts["wins"] += 1
+        else:
+            counts["losses"] += 1
+    return counts
+
+
 def judge(spec: dict, base: list[dict], head: list[dict]) -> tuple[dict, list[str]]:
     """Judge HEAD's runs against BASE's by ``spec`` (``BENCHMARK.json``).
 
@@ -93,8 +120,8 @@ def judge(spec: dict, base: list[dict], head: list[dict]) -> tuple[dict, list[st
     to the result line the run printed for it (absent if none). Returns
     the summary, per workload, of both sides' failed share and, per
     metric, each side's :func:`stats.spread` with the ``unresolved``
-    and ``regressed`` labels, and the problems that fail the gate (none
-    when HEAD passes).
+    and ``regressed`` labels and HEAD's :func:`pair_wins`, and the
+    problems that fail the gate (none when HEAD passes).
     """
     problems: list[str] = []
     summary: dict = {}
@@ -131,6 +158,7 @@ def judge(spec: dict, base: list[dict], head: list[dict]) -> tuple[dict, list[st
             row["unresolved"] = row["base"]["spread"] > metric["bound"]
             row["regressed"] = regressed(metric, row["base"]["median"],
                                          row["head"]["median"])
+            row["pairs"] = pair_wins(metric, workload, base, head)
             if row["regressed"]:
                 problems.append(
                     f"{workload} {name}: head median {row['head']['median']:.4g} "
@@ -161,10 +189,13 @@ def print_summary(spec: dict, summary: dict) -> None:
             change = head["median"] / base["median"] - 1.0 if base["median"] else 0.0
             label = ("REGRESSED" if row["regressed"] else "ok") + (
                 " unresolved" if row["unresolved"] else "")
+            pairs = row["pairs"]
             print(f"  {name:16s} base {base['median']:10.4g} [{base['q1']:.4g}, "
                   f"{base['q3']:.4g}] spread {base['spread']:6.1%}   "
                   f"head {head['median']:10.4g} [{head['q1']:.4g}, "
-                  f"{head['q3']:.4g}]   {change:+7.1%}  bound "
+                  f"{head['q3']:.4g}]   {change:+7.1%}  won "
+                  f"{pairs['wins']}/{sum(pairs.values())} ({pairs['losses']} lost, "
+                  f"{pairs['ties']} tied)  bound "
                   f"{bounds[name]['bound']:.0%} {bounds[name]['better']}  {label}")
 
 

@@ -115,3 +115,30 @@ def test_wide_base_spread_is_labelled_unresolved_but_not_failed():
     assert problems == []
     assert summary["serve"]["metrics"]["tasks_per_s"]["unresolved"]
     assert not summary["table4"]["metrics"]["tasks_per_s"]["unresolved"]
+
+
+def test_pair_wins_follow_each_metrics_direction():
+    base, head = runs(), runs()
+    # Seeds 1-5: head faster twice, slower once, equal twice.
+    for run, rate in zip(head, (220.0, 210.0, 190.0, 200.0, 200.0)):
+        run["table4"]["metrics"]["tasks_per_s"]["value"] = rate
+    # Lower is better: head's larger setup counts as a loss.
+    head[0]["table4"]["metrics"]["setup_s"]["value"] = 0.9
+    head[1]["table4"]["metrics"]["setup_s"]["value"] = 0.3
+    summary, problems = perf_ab.judge(SPEC, base, head)
+    assert problems == []
+    metrics = summary["table4"]["metrics"]
+    assert metrics["tasks_per_s"]["pairs"] == {"wins": 2, "losses": 1, "ties": 2}
+    assert metrics["setup_s"]["pairs"] == {"wins": 1, "losses": 1, "ties": 3}
+    assert summary["matrix"]["metrics"]["tasks_per_s"]["pairs"] == {
+        "wins": 0, "losses": 0, "ties": len(perf_ab.SEEDS)}
+
+
+def test_pair_wins_skip_pairs_missing_a_value():
+    base, head = runs(), runs()
+    del base[0]["serve"]
+    del head[1]["serve"]["metrics"]["job_p90_ms"]
+    summary, _problems = perf_ab.judge(SPEC, base, head)
+    metrics = summary["serve"]["metrics"]
+    assert sum(metrics["tasks_per_s"]["pairs"].values()) == len(perf_ab.SEEDS) - 1
+    assert sum(metrics["job_p90_ms"]["pairs"].values()) == len(perf_ab.SEEDS) - 2
