@@ -12,6 +12,12 @@ exchange exceeds its buffer; the disruption ends at the next success.
 Disruption-sensitive apps call the SEED failure-report API (§4.3.2)
 after a few consecutive failures, supplying failure type, traffic
 direction, and address — exactly the API's three parameters.
+
+A UDP app whose failure episode can change nothing but counters parks
+its cadence in the UDP client while the user plane black-holes it
+(:meth:`App._park`): no tick or timeout is simulated until the fate of
+its datagrams can change, and the skipped exchanges are then accounted
+as the eager chain would have fired them.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from typing import Callable
 
 from repro.simkernel.simulator import Simulator
 from repro.transport.dns import DnsClient, DnsResult
+from repro.transport.packets import Verdict
 from repro.transport.tcp import TcpClient
 from repro.transport.udp import UdpClient, UdpResult
 
@@ -116,6 +123,8 @@ class App:
 
     def stop(self) -> None:
         self.running = False
+        # A parked cadence is accounted up to now and not resumed.
+        self.udp.wake()
 
     def _schedule_next(self) -> None:
         if not self.running:
@@ -133,8 +142,10 @@ class App:
             return
         self.exchanges += 1
         if self.profile.protocol == "udp":
-            self.udp.exchange(self.server_ip, self.profile.port, self._on_udp,
-                              timeout=self.profile.exchange_timeout)
+            verdict = self.udp.exchange(self.server_ip, self.profile.port, self._on_udp,
+                                        timeout=self.profile.exchange_timeout)
+            if verdict is Verdict.DROPPED and self._park():
+                return
         elif self.profile.protocol == "web":
             cached = self._dns_cache
             if cached is not None and self.sim.now < cached[1]:
@@ -146,6 +157,34 @@ class App:
         else:
             self._tcp_exchange()
         self._schedule_next()
+
+    def _park(self) -> bool:
+        """Hand the cadence to the UDP client while it can only count.
+
+        The exchange just sent was dropped. Parking also needs this
+        failure episode to change nothing but counters: the disruption
+        is open with no report left to send (:meth:`reported_open`),
+        and failures schedule no retry. Then every later exchange only
+        adds to ``exchanges`` and, at its timeout, to
+        ``consecutive_failures``, until the user plane changes. Apps
+        that feed Android's detectors (TCP, and the web app's DNS)
+        never get here.
+        """
+        profile = self.profile
+        if profile.interval > self.FAILURE_RETRY_DELAY or not self.reported_open():
+            return False
+        return self.udp.park(self.server_ip, profile.port, self._on_udp,
+                             profile.exchange_timeout, profile.interval,
+                             self.sim.now + profile.interval, self._unpark)
+
+    def _unpark(self, next_start: float, sent: int, lost: int) -> None:
+        """Take back a parked cadence: the counts of its skipped
+        exchanges and, while running, the next tick on its grid."""
+        self.exchanges += sent
+        self.consecutive_failures += lost
+        if self.running:
+            self.sim.schedule_at(next_start, self._do_exchange,
+                                 label=self._event_label, maintenance=True)
 
     def _tcp_exchange(self) -> None:
         timeout = self.profile.exchange_timeout
