@@ -17,8 +17,6 @@ from repro.fleet.planner import (
     FleetPlan,
     Shard,
     TaskSpec,
-    chunk_cohorts,
-    estimated_plan_cost,
     filter_scenarios,
     matrix_tasks,
     plan_from_spec,
@@ -59,9 +57,7 @@ __all__ = [
     "WorkerPool",
     "aggregate_records",
     "canonical_json",
-    "chunk_cohorts",
     "code_fingerprint",
-    "estimated_plan_cost",
     "execute_plan",
     "filter_scenarios",
     "matrix_tasks",

@@ -23,6 +23,7 @@ import sys
 from repro.analysis.tables import format_table
 from repro.fleet.checkpoint import CheckpointMismatch
 from repro.fleet.planner import FleetPlan, plan_from_spec
+from repro.fleet.pool import INLINE_TASKS
 from repro.fleet.resultcache import resolve_cache
 from repro.fleet.runner import FleetRunner
 from repro.testbed.harness import HandlingMode
@@ -53,15 +54,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="UEs per simulator instance; >1 packs one "
                              "multi-UE cohort per shard (matrix sweeps "
                              "only; default: 1)")
-    parser.add_argument("--cohort-chunks", type=int, default=1,
-                        help="split each cohort shard across this many "
-                             "sub-shards so several workers share one "
-                             "cohort's UEs (matrix sweeps; default: 1)")
     parser.add_argument("--executor", choices=("auto", "pool", "inline"),
                         default="auto",
-                        help="dispatch mode: auto lets the planner cost "
-                             "model pick inline vs process pool per sweep; "
-                             "results are identical either way (default: auto)")
+                        help="dispatch mode: auto runs a sweep inline at "
+                             "one worker or when fewer than "
+                             f"{INLINE_TASKS} of its tasks are left to run, "
+                             "else on a process pool; results are identical "
+                             "either way (default: auto)")
     parser.add_argument("--retries", type=int, default=2,
                         help="extra attempts per failed shard (default: 2)")
     parser.add_argument("--out", metavar="DIR",
@@ -106,8 +105,6 @@ def spec_from_args(args: argparse.Namespace) -> dict:
     if args.suite:
         if getattr(args, "cohort_size", 1) != 1:
             raise SystemExit("--cohort-size is only supported for matrix sweeps")
-        if getattr(args, "cohort_chunks", 1) != 1:
-            raise SystemExit("--cohort-chunks is only supported for matrix sweeps")
         return {"kind": "suite", "suite": args.suite, "runs": args.runs,
                 "seed": args.seed, "shard_size": args.shard_size}
     spec = {"kind": "matrix", "scenarios": args.scenario,
@@ -116,8 +113,6 @@ def spec_from_args(args: argparse.Namespace) -> dict:
             "shard_size": args.shard_size}
     if getattr(args, "cohort_size", 1) != 1:
         spec["cohort_size"] = args.cohort_size
-    if getattr(args, "cohort_chunks", 1) != 1:
-        spec["cohort_chunks"] = args.cohort_chunks
     return spec
 
 

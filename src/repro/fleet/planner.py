@@ -23,12 +23,11 @@ import fnmatch
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.infra.failures import FailureClass
 from repro.simkernel.rng import derive_seed
-from repro.testbed.harness import HORIZONS, HandlingMode, pick_scenario
-from repro.testbed.scenarios import ALL_SCENARIOS, Scenario, scenario_by_name
+from repro.testbed.harness import HandlingMode, pick_scenario
+from repro.testbed.scenarios import ALL_SCENARIOS, Scenario
 
 DEFAULT_SHARD_SIZE = 4
 
@@ -231,49 +230,6 @@ def shard_tasks(
     return tuple(shards)
 
 
-def chunk_cohorts(plan: FleetPlan, chunks: int) -> FleetPlan:
-    """Split each cohort shard into up to ``chunks`` sub-cohort shards.
-
-    The cohort parity invariant (PR 7: a cohort of N is byte-identical
-    to N single runs, every member fully isolated under its own task
-    seed) makes any *partition* of a cohort equivalent too: a 512-UE
-    cohort can run as K sub-cohorts on K workers and the per-task
-    records never change. This is the sub-shard escape hatch for the
-    one-cohort-per-shard packing rule — one giant cohort no longer
-    serializes the whole fleet behind a single worker.
-
-    Tasks keep their ids and seeds; only the shard grouping changes
-    (shards are renumbered contiguously in task order). Aggregates are
-    sorted by ``task_id`` downstream, so ``aggregate.json`` is
-    byte-identical at any ``chunks``. The audit-only ``elided_events``
-    counter becomes per-sub-cohort, which never enters the aggregate.
-
-    Non-cohort shards and ``chunks=1`` pass through untouched (the
-    plan object itself is returned, keeping fingerprints stable).
-    """
-    if chunks < 1:
-        raise ValueError(f"chunks must be >= 1, got {chunks}")
-    if chunks == 1 or all(s.cohort_size <= 1 for s in plan.shards):
-        return plan
-    new_shards: list[Shard] = []
-    for shard in plan.shards:
-        if shard.cohort_size <= 1 or len(shard.tasks) <= 1:
-            pieces = [shard.tasks]
-        else:
-            n = min(chunks, len(shard.tasks))
-            size, extra = divmod(len(shard.tasks), n)
-            pieces, start = [], 0
-            for index in range(n):
-                width = size + (1 if index < extra else 0)
-                pieces.append(shard.tasks[start:start + width])
-                start += width
-        for piece in pieces:
-            cohort_size = shard.cohort_size if len(piece) > 1 else 1
-            new_shards.append(Shard(shard_id=len(new_shards), tasks=piece,
-                                    cohort_size=cohort_size))
-    return FleetPlan(master_seed=plan.master_seed, shards=tuple(new_shards))
-
-
 def residual_plan(plan: FleetPlan, done_task_ids: set[int]) -> FleetPlan:
     """The sub-plan of tasks not already satisfied elsewhere.
 
@@ -282,9 +238,8 @@ def residual_plan(plan: FleetPlan, done_task_ids: set[int]) -> FleetPlan:
     cohort shard with K satisfied members legally shrinks to a cohort
     of N−K — the PR 7 parity invariant (every member fully isolated
     under its own task seed) makes any partition of a cohort
-    record-equivalent, exactly as :func:`chunk_cohorts` exploits. A
-    single leftover member degrades to ``cohort_size=1`` like a
-    chunked singleton piece.
+    record-equivalent. A single leftover member degrades to
+    ``cohort_size=1``.
 
     Shard ids and task ids/seeds are preserved, so residual results
     merge straight back into the original plan's result and checkpoint
@@ -315,25 +270,26 @@ def plan_matrix(
     master_seed: int = 0,
     shard_size: int = DEFAULT_SHARD_SIZE,
     cohort_size: int = 1,
-    cohort_chunks: int = 1,
 ) -> FleetPlan:
     """Plan a scenario-matrix sweep (the generic CLI path)."""
     scenarios = filter_scenarios(scenario_patterns)
     modes = list(modes) if modes else list(HandlingMode)
     tasks = matrix_tasks(scenarios, modes, replicas, master_seed)
-    plan = FleetPlan(master_seed=master_seed,
+    return FleetPlan(master_seed=master_seed,
                      shards=shard_tasks(tasks, shard_size, cohort_size))
-    return chunk_cohorts(plan, cohort_chunks)
-
-
-def resolve_task_scenario(task: TaskSpec) -> Scenario:
-    """The catalog scenario a task refers to (raises on unknown names)."""
-    return scenario_by_name(task.scenario)
 
 
 # ---------------------------------------------------------------------------
 # Sweep specs (the JSON wire format shared by the CLIs and repro.serve)
 # ---------------------------------------------------------------------------
+#: The keys each sweep kind reads; any other key is rejected.
+_SPEC_KEYS = {
+    "matrix": ("kind", "scenarios", "modes", "replicas", "seed",
+               "shard_size", "cohort_size"),
+    "suite": ("kind", "suite", "runs", "seed", "shard_size"),
+}
+
+
 def plan_from_spec(spec: dict) -> FleetPlan:
     """Build a plan from a JSON-safe sweep spec.
 
@@ -347,28 +303,28 @@ def plan_from_spec(spec: dict) -> FleetPlan:
 
     ``cohort_size > 1`` (matrix sweeps only) packs one multi-UE cohort
     per shard instead of independent single-UE testbeds; per-task
-    records are byte-identical either way. ``cohort_chunks > 1`` then
-    splits each cohort shard into that many sub-cohort shards (see
-    :func:`chunk_cohorts`) so one large cohort can feed multiple
-    workers — ``aggregate.json`` stays byte-identical at any chunking.
+    records are byte-identical either way.
 
     This is the single spec → plan mapping: ``python -m repro.fleet``,
     ``python -m repro.serve submit``, and the daemon's job queue all
     route through it, so a spec means the same sweep — and therefore
     the same aggregate bytes — no matter which surface submitted it.
-    Raises ``ValueError`` on unknown kinds/suites/modes/scenarios.
+    Raises ``ValueError`` on unknown kinds/keys/suites/modes/scenarios:
+    a key the kind does not read would otherwise be dropped silently,
+    and the spec would mean another sweep than the one written.
     """
     kind = spec.get("kind", "matrix")
+    if kind not in ("matrix", "suite"):
+        raise ValueError(f"unknown sweep kind {kind!r} (valid: matrix, suite)")
+    if kind == "suite" and "cohort_size" in spec:
+        raise ValueError("cohort_size is only supported for matrix sweeps")
+    unknown = [key for key in spec if key not in _SPEC_KEYS[kind]]
+    if unknown:
+        raise ValueError(
+            f"unknown {kind} spec key {', '.join(map(repr, unknown))} "
+            f"(valid: {', '.join(_SPEC_KEYS[kind])})")
     shard_size = int(spec.get("shard_size", DEFAULT_SHARD_SIZE))
-    cohort_size = int(spec.get("cohort_size", 1))
-    cohort_chunks = int(spec.get("cohort_chunks", 1))
-    if cohort_chunks < 1:
-        raise ValueError(f"cohort_chunks must be >= 1, got {cohort_chunks}")
     if kind == "suite":
-        if cohort_size != 1:
-            raise ValueError("cohort_size is only supported for matrix sweeps")
-        if cohort_chunks != 1:
-            raise ValueError("cohort_chunks is only supported for matrix sweeps")
         suite = spec.get("suite")
         runs = int(spec.get("runs", 30))
         seed = int(spec.get("seed", 0))
@@ -382,8 +338,6 @@ def plan_from_spec(spec: dict) -> FleetPlan:
             return coverage.fleet_plan(runs=runs, seed=seed or 7000,
                                        shard_size=shard_size)
         raise ValueError(f"unknown suite {suite!r} (valid: table4, coverage)")
-    if kind != "matrix":
-        raise ValueError(f"unknown sweep kind {kind!r} (valid: matrix, suite)")
     mode_names = spec.get("modes") or [mode.value for mode in HandlingMode]
     try:
         modes = [HandlingMode(name) for name in mode_names]
@@ -397,73 +351,5 @@ def plan_from_spec(spec: dict) -> FleetPlan:
         replicas=int(spec.get("replicas", 1)),
         master_seed=int(spec.get("seed", 0)),
         shard_size=shard_size,
-        cohort_size=cohort_size,
-        cohort_chunks=cohort_chunks,
+        cohort_size=int(spec.get("cohort_size", 1)),
     )
-
-
-# ---------------------------------------------------------------------------
-# Cost model (work-stealing queue order)
-# ---------------------------------------------------------------------------
-# Relative run-length factor per handling mode. SEED runs recover — and
-# therefore quiesce — much earlier than legacy runs, whose slow retry
-# timers and ambient clears stretch their outages. Even a run censored
-# by a configuration block does not cost its horizon in wall time: it
-# quiesces once its record is fixed. The exact values only shape the
-# steal order and the inline-vs-pool choice; correctness never depends
-# on them.
-_HANDLING_COST = {
-    HandlingMode.LEGACY.value: 1.0,
-    HandlingMode.SEED_U.value: 0.45,
-    HandlingMode.SEED_R.value: 0.35,
-}
-
-
-def estimated_task_cost(task: TaskSpec) -> float:
-    """Deterministic relative cost of one task.
-
-    A planner-side heuristic, not a measurement: the class's
-    measurement horizon (long-horizon classes allow longer outages)
-    scaled by the handling mode. Horizon-censored runs quiesce once
-    their record is fixed, so the horizon bounds a run's wall time
-    rather than setting it. It depends on nothing but the spec, so
-    every process — at any worker count — computes the same queue
-    order.
-    """
-    scenario = resolve_task_scenario(task)
-    horizon = task.horizon
-    if horizon is None:
-        horizon = HORIZONS[scenario.failure_class]
-    return horizon * _HANDLING_COST.get(task.handling, 1.0)
-
-
-def estimated_shard_cost(shard: Shard) -> float:
-    """Summed task-cost heuristic for one shard."""
-    return sum(estimated_task_cost(task) for task in shard.tasks)
-
-
-def estimated_plan_cost(plan: FleetPlan) -> float:
-    """Total cost heuristic for a plan — the adaptive-executor input.
-
-    Same units as :func:`estimated_task_cost` (simulated horizon
-    seconds scaled by handling mode), so the pool's inline-vs-pool
-    threshold is a pure function of the spec: every process, at any
-    worker count, resolves ``--executor auto`` the same way for the
-    same plan.
-    """
-    return sum(estimated_shard_cost(shard) for shard in plan.shards)
-
-
-def steal_order(shards: Iterable[Shard]) -> list[int]:
-    """Shard ids in longest-processing-time-first order (ties by id).
-
-    The pool feeds the shared work queue in this order so the expensive
-    shards start first and the small ones backfill the stragglers —
-    the classic LPT bound on makespan. Deterministic by construction.
-    """
-    return [
-        shard.shard_id
-        for shard in sorted(
-            shards, key=lambda s: (-estimated_shard_cost(s), s.shard_id)
-        )
-    ]

@@ -13,25 +13,25 @@ executor is **never** rebuilt between rounds: only an observed
 
 Three executor modes (``executor=`` / ``--executor``):
 
-* ``inline`` — run every shard in this process, zero IPC, draining the
-  steal queue in the same LPT order a single pool worker would;
+* ``inline`` — run every shard in this process, zero IPC, in plan
+  (shard-id) order, the order a single pool worker would pull them in;
 * ``pool`` — always dispatch through a :class:`WorkerPool`: the
   caller's shared warm pool, or one the sweep builds for itself and
   shuts down when it ends;
-* ``auto`` (default) — consult the planner's deterministic cost model
-  (:func:`repro.fleet.planner.estimated_plan_cost`): when the sweep's
-  estimated work cannot amortise pool spin-up + IPC, run inline.
-  Either choice produces byte-identical aggregates (results merge
-  through the same task_id-sorted path), so the decision is free to be
-  machine-local — exactly like the worker count itself.
+* ``auto`` (default) — run inline when one worker and no pool is at
+  hand, or when the plan left to run holds fewer than
+  :data:`INLINE_TASKS` tasks, too few to amortise pool spin-up + IPC;
+  otherwise use the pool. Either choice produces byte-identical
+  aggregates (results merge through the same task_id-sorted path), so
+  the decision is free to be machine-local — exactly like the worker
+  count itself.
 
 Within a pool round, shards are scheduled by **work stealing**: the
-round's shards are ordered longest-first by the planner's cost
-heuristic (:func:`repro.fleet.planner.steal_order`), split into
-fine-grained batches of guided-self-scheduling sizes, and all batches
-are submitted up front. The executor's shared call queue *is* the
-steal queue — an idle worker pulls the next batch the moment it drains
-its current one. A batch travels as one pickled list of
+round's pending shards, in plan order, are split into fine-grained
+batches of guided-self-scheduling sizes, and all batches are submitted
+up front. The executor's shared call queue *is* the steal queue — an
+idle worker pulls the next batch the moment it drains its current
+one. A batch travels as one pickled list of
 ``(shard_id, Shard.to_json())`` pairs and returns as the shard result
 dicts the checkpoint stores verbatim.
 
@@ -53,12 +53,7 @@ from typing import Callable, Iterator
 
 from repro.core.online_learning import merge_records
 from repro.fleet.checkpoint import Checkpoint
-from repro.fleet.planner import (
-    FleetPlan,
-    estimated_plan_cost,
-    residual_plan,
-    steal_order,
-)
+from repro.fleet.planner import FleetPlan, residual_plan
 from repro.fleet.resultcache import ResultCache
 from repro.fleet.worker import (
     attempt_shard,
@@ -83,15 +78,15 @@ _GSS_FACTOR = 2
 
 EXECUTOR_MODES = ("auto", "pool", "inline")
 
-# Adaptive-executor thresholds, in planner cost units (simulated
-# horizon seconds x handling factor). One core pushes roughly 500k
-# units/s through the quiescent testbed, so 250k units is ~0.5s of
-# real work — about what pool spawn + per-batch IPC costs on a small
-# box. A warm pool has already paid its spawn, so its bar is lower.
-# The numbers only steer the executor choice; aggregates are identical
-# either way.
-INLINE_COST_THRESHOLD = 250_000.0
-INLINE_COST_THRESHOLD_WARM = 150_000.0
+# Adaptive-executor bar: ``auto`` runs a plan of fewer tasks than this
+# inline. A task count is exact and needs no calibration. On a 2-vCPU
+# VM a sweep's own 2-worker pool first beats inline between 54 and 78
+# Table 4 tasks. 64 keeps small sweeps in-process (a 3-scenario probe
+# matrix, a 2-replica cohort warm-up: at most 36 tasks) and sends
+# Table 4 sweeps (138 tasks at runs=20) and full matrices (108 tasks
+# at 2 replicas) to the pool. It only steers the executor choice;
+# aggregates are identical either way.
+INLINE_TASKS = 64
 
 
 def resolve_executor(
@@ -108,9 +103,7 @@ def resolve_executor(
         return mode
     if workers <= 1 and pool is None:
         return "inline"
-    warm = pool is not None and pool.is_warm()
-    threshold = INLINE_COST_THRESHOLD_WARM if warm else INLINE_COST_THRESHOLD
-    return "inline" if estimated_plan_cost(plan) < threshold else "pool"
+    return "inline" if len(plan.tasks) < INLINE_TASKS else "pool"
 
 
 class WorkerPool:
@@ -175,11 +168,6 @@ class WorkerPool:
                 )
                 self.executors_spawned += 1
             return self._executor
-
-    def is_warm(self) -> bool:
-        """Whether a live executor (already-spawned workers) exists."""
-        with self._lock:
-            return self._executor is not None
 
     def _take_executor(self) -> ProcessPoolExecutor | None:
         """Atomically detach the current executor (if any)."""
@@ -287,9 +275,9 @@ def execute_plan(
     if on_cache is not None and cache is not None:
         on_cache(outcome.cache_hits, outcome.cache_misses)
 
-    # The residual plan prices the executor decision: a mostly warm
-    # resubmit has little work left, so auto resolves it inline even
-    # when the submitted sweep would have amortised a pool.
+    # The residual plan's task count decides the executor: a mostly
+    # warm resubmit has little work left, so auto resolves it inline
+    # even when the submitted sweep would have amortised a pool.
     mode = resolve_executor(executor, run_plan, workers, pool)
     outcome.executor_mode = mode
     inline = mode == "inline"
@@ -306,7 +294,6 @@ def execute_plan(
     payloads = {s.shard_id: s.to_json() for s in run_plan.shards}
     pending = {sid: 0 for sid in payloads if sid not in outcome.results}
     max_attempts = 1 + max(0, retries)
-    queue_order = steal_order(run_plan.shards)
 
     inline_cache = cache if inline and cache is not None and pending else None
     previous_cache = (configure_cache(inline_cache)
@@ -316,7 +303,7 @@ def execute_plan(
             if stop is not None and stop():
                 outcome.stopped = True
                 break
-            round_ids = [sid for sid in queue_order if sid in pending]
+            round_ids = sorted(pending)
             round_batches = _run_round(
                 shard_fn, payloads, round_ids, pool=pool, stop=stop)
             for batch in round_batches:
@@ -456,8 +443,8 @@ def _batches(round_ids: list[int], workers: int) -> list[list[int]]:
     """Split a round into guided-self-scheduling batches.
 
     Batch ``k`` takes ``ceil(remaining / (workers * _GSS_FACTOR))``
-    shards from the front of the (longest-first) queue, so sizes
-    decrease geometrically down to 1. Early batches stay big enough to
+    shards from the front of the round, so sizes decrease
+    geometrically down to 1. Early batches stay big enough to
     amortise dispatch cost; the single-shard tail gives the steal queue
     fine granularity exactly when load imbalance matters — at the end
     of the round.
@@ -485,10 +472,9 @@ def _run_round(
     singleton batches (per-record durability). With one, all batches of
     the round are submitted up front; the executor's shared call queue
     acts as the steal queue, so each worker pulls the next pending
-    batch the moment it finishes its current one. With ``round_ids`` in
-    LPT order the long shards start first and the short tail backfills
-    whichever worker frees up — completion order varies, results do
-    not.
+    batch the moment it finishes its current one, and the single-shard
+    tail backfills whichever worker frees up — completion order varies,
+    results do not.
 
     The executor is borrowed from the pool and survives the round.
     Only an observed ``BrokenProcessPool`` — a worker that died mid-

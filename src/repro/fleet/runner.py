@@ -52,9 +52,10 @@ class FleetRunner:
         the report carries ``cancelled=True`` (the checkpoint keeps
         every completed shard, so the run is resumable).
     executor:
-        Dispatch mode — ``auto`` (default: the planner cost model
-        decides whether the sweep amortises a process pool, else runs
-        inline), ``pool``, or ``inline``. Never affects results, only
+        Dispatch mode — ``auto`` (default: a sweep with fewer than
+        :data:`~repro.fleet.pool.INLINE_TASKS` tasks left to run, or
+        one worker and no pool, runs inline; a larger one on a process
+        pool), ``pool``, or ``inline``. Never affects results, only
         where the shards execute.
     cache:
         A content-addressed :class:`~repro.fleet.resultcache.

@@ -27,6 +27,7 @@ import json
 import sys
 
 from repro.fleet.cli import spec_from_args
+from repro.fleet.pool import INLINE_TASKS
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import DEFAULT_PORT, ServeDaemon
 from repro.serve.store import render_diff
@@ -53,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra attempts per failed shard (default: 2)")
     start.add_argument("--executor", choices=("auto", "pool", "inline"),
                        default="auto",
-                       help="dispatch mode for served sweeps: auto lets the "
-                            "planner cost model pick inline vs the warm pool "
-                            "per job (default: auto)")
+                       help="dispatch mode for served sweeps: auto runs a "
+                            f"job with fewer than {INLINE_TASKS} tasks left "
+                            "to run inline and larger ones on the warm pool "
+                            "(default: auto)")
     start.add_argument("--cache", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="content-addressed result cache shared by all "
@@ -85,10 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="UEs per simulator instance; >1 packs one "
                              "multi-UE cohort per shard (matrix sweeps "
                              "only; default: 1)")
-    submit.add_argument("--cohort-chunks", type=int, default=1,
-                        help="split each cohort shard across this many "
-                             "sub-shards so several workers share one "
-                             "cohort's UEs (matrix sweeps; default: 1)")
     submit.add_argument("--wait", action="store_true",
                         help="watch the job and exit with its outcome")
 

@@ -232,11 +232,3 @@ class UdpClient:
             self._history.append(UdpOutcome(UdpResult.TIMEOUT, parked.dst_ip, parked.dst_port,
                                             latency=end - start, time=end))
             parked.lost += 1
-
-    def recent_loss_rate(self, window: float = 60.0) -> float:
-        cutoff = self.sim.now - window
-        recent = [o for o in self.history if o.time >= cutoff]
-        if not recent:
-            return 0.0
-        lost = sum(1 for o in recent if o.result is not UdpResult.REPLIED)
-        return lost / len(recent)

@@ -1,11 +1,11 @@
-"""Dispatch: executor modes, the sweep's own pool, cohort chunking,
+"""Dispatch: executor modes, the sweep's own pool, the ``auto`` rule,
 and the buffered checkpoint writer.
 
 The invariant every parity test pins: ``aggregate.json`` is
 byte-identical across executor modes (inline vs pool), pool owners
-(the sweep's own vs a shared warm one), shard functions, cohort
-chunkings (K ∈ {1, 2, 4}), and worker counts — dispatch mechanics must
-never be observable in results.
+(the sweep's own vs a shared warm one), shard functions, cohort sizes
+(4 and 2), and worker counts — dispatch mechanics must never be
+observable in results.
 """
 
 import multiprocessing
@@ -16,28 +16,18 @@ import pytest
 
 from repro.fleet import FleetRunner, WorkerPool
 from repro.fleet.checkpoint import Checkpoint
-from repro.fleet.planner import (
-    chunk_cohorts,
-    estimated_plan_cost,
-    plan_from_spec,
-    plan_matrix,
-)
-from repro.fleet.pool import (
-    INLINE_COST_THRESHOLD,
-    execute_plan,
-    resolve_executor,
-)
+from repro.fleet.planner import plan_from_spec, plan_matrix, residual_plan
+from repro.fleet.pool import execute_plan, resolve_executor
 from repro.fleet.worker import run_shard
 from repro.testbed.harness import HandlingMode
 
 
-def cohort_plan(chunks=1, cohort_size=4):
-    """8 tasks in cohort shards of 4 — the chunking/parity workload."""
+def cohort_plan(cohort_size=4):
+    """8 tasks in cohort shards of ``cohort_size`` — the parity workload."""
     return plan_matrix(
         scenario_patterns=["cp_timeout_transient", "dp_transient"],
         modes=[HandlingMode.LEGACY, HandlingMode.SEED_R],
-        replicas=2, master_seed=77, shard_size=4,
-        cohort_size=cohort_size, cohort_chunks=chunks)
+        replicas=2, master_seed=77, shard_size=4, cohort_size=cohort_size)
 
 
 def tiny_plan():
@@ -71,46 +61,39 @@ def _exit_once(marker, payload):
 # The tentpole invariant: dispatch mechanics are invisible in results
 # ---------------------------------------------------------------------------
 class TestAggregateParity:
-    def test_inline_chunking_invariant(self, tmp_path):
-        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
-        for chunks in (2, 4):
-            assert aggregate_bytes(
-                tmp_path, f"k{chunks}", cohort_plan(chunks), workers=1,
-            ) == reference
-
     def test_pool_frames_and_chunking_match_inline(self, tmp_path):
-        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
-        # forced pool, the sweep's own pool, 1 and 4 chunks
-        assert aggregate_bytes(tmp_path, "p1", cohort_plan(1),
+        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(), workers=1)
+        # forced pool, the sweep's own pool, cohorts of 4 and of 2
+        assert aggregate_bytes(tmp_path, "p4", cohort_plan(),
                                workers=2, executor="pool") == reference
-        assert aggregate_bytes(tmp_path, "p4", cohort_plan(4),
+        assert aggregate_bytes(tmp_path, "p2", cohort_plan(2),
                                workers=2, executor="pool") == reference
-        # four workers, intermediate chunking
+        # four workers
         assert aggregate_bytes(tmp_path, "w4", cohort_plan(2),
                                workers=4, executor="pool") == reference
 
     def test_legacy_dict_wire_matches_frames(self, tmp_path):
-        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
+        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(), workers=1)
         # a non-default shard_fn crosses the same wire as run_shard
-        assert aggregate_bytes(tmp_path, "legacy", cohort_plan(1), workers=2,
+        assert aggregate_bytes(tmp_path, "legacy", cohort_plan(), workers=2,
                                executor="pool", shard_fn=_proxy_shard,
                                ) == reference
 
     def test_warm_pool_frames_match_inline(self, tmp_path):
-        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(1), workers=1)
+        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(), workers=1)
         with WorkerPool(2) as pool:
             # a caller-owned pool: spawn-started, outlives the sweep
-            assert aggregate_bytes(tmp_path, "warm", cohort_plan(4),
+            assert aggregate_bytes(tmp_path, "warm", cohort_plan(2),
                                    pool=pool, executor="pool") == reference
             assert pool.executors_spawned == 1
 
 
 class TestSweepPool:
     def test_killed_worker_recovers_in_round_two(self, tmp_path):
-        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(4), workers=1)
+        reference = aggregate_bytes(tmp_path, "ref", cohort_plan(2), workers=1)
         out = tmp_path / "pooled"
         report = FleetRunner(
-            cohort_plan(4), out_dir=str(out), workers=2, executor="pool",
+            cohort_plan(2), out_dir=str(out), workers=2, executor="pool",
             shard_fn=partial(_exit_once, str(tmp_path / "marker")),
         ).run()
         assert report.complete, report.failed_shards
@@ -134,65 +117,47 @@ class TestExecutorResolution:
     def test_auto_single_worker_is_inline(self):
         assert resolve_executor("auto", tiny_plan(), 1) == "inline"
 
-    def test_auto_uses_the_cost_model(self):
-        small = cohort_plan()          # ~19k cost units
-        assert estimated_plan_cost(small) < INLINE_COST_THRESHOLD
-        assert resolve_executor("auto", small, 4) == "inline"
-
-        big = plan_from_spec({"kind": "suite", "suite": "table4",
-                              "runs": 30, "seed": 4000, "shard_size": 4})
-        assert estimated_plan_cost(big) > INLINE_COST_THRESHOLD
-        assert resolve_executor("auto", big, 4) == "pool"
+    def test_auto_counts_tasks_on_benchmark_plan_shapes(self):
+        """The repository benchmark's plan shapes, written out: probes
+        and small warm-ups run inline, Table 4 and matrix sweeps on the
+        pool, whether or not the pool has built its executor yet."""
+        table4 = {"kind": "suite", "suite": "table4", "seed": 4096}
+        cases = [  # (spec, tasks, executor at 2 workers)
+            # serve probe: 3 scenarios x 3 modes x 2 replicas
+            ({"kind": "matrix", "scenarios": [
+                "cp_plmn_config", "dp_transient", "dd_gateway_stale"],
+              "replicas": 2, "seed": 3}, 18, "inline"),
+            # matrix warm-up on the cohort path
+            ({"kind": "matrix", "modes": ["seed_r"], "replicas": 2,
+              "cohort_size": 2, "seed": 3}, 36, "inline"),
+            # matrix warm-up that forks the first pool
+            ({"kind": "matrix", "scenarios": ["cp_*"], "modes": ["legacy"],
+              "replicas": 16, "cohort_size": 16, "seed": 3}, 128, "pool"),
+            # Table 4 sweeps: the serve warm-up, the serve self-test's
+            # sweeps, the serve sweeps
+            (dict(table4, runs=20), 138, "pool"),
+            (dict(table4, runs=24), 162, "pool"),
+            (dict(table4, runs=40), 270, "pool"),
+            # the matrix sweep: 18 x 3 cells as 4-UE cohorts
+            ({"kind": "matrix", "replicas": 4, "cohort_size": 4,
+              "seed": 3}, 216, "pool"),
+        ]
+        plans = [(plan_from_spec(spec), tasks, want, spec)
+                 for spec, tasks, want in cases]
+        sweep = plans[-1][0]
+        # a resubmit whose every task is a cache hit
+        all_hit = residual_plan(sweep, {t.task_id for t in sweep.tasks})
+        plans.append((all_hit, 0, "inline", "all-hit residual"))
+        with WorkerPool(2) as warm:
+            warm.executor()  # built, as after the daemon's first sweep
+            for pool in (None, warm):
+                for plan, tasks, want, spec in plans:
+                    assert len(plan.tasks) == tasks, spec
+                    assert resolve_executor("auto", plan, 2, pool) == want, spec
 
     def test_outcome_reports_resolved_mode(self, tmp_path):
         outcome = execute_plan(tiny_plan(), workers=4, executor="auto")
         assert outcome.executor_mode == "inline"
-
-
-# ---------------------------------------------------------------------------
-# Cohort chunking
-# ---------------------------------------------------------------------------
-class TestChunkCohorts:
-    def test_chunks_one_is_identity(self):
-        plan = cohort_plan()
-        assert chunk_cohorts(plan, 1) is plan
-
-    def test_non_cohort_plans_pass_through(self):
-        plan = tiny_plan()
-        assert chunk_cohorts(plan, 4) is plan
-
-    def test_invalid_chunks_rejected(self):
-        with pytest.raises(ValueError):
-            chunk_cohorts(cohort_plan(), 0)
-
-    def test_split_preserves_tasks_and_renumbers_shards(self):
-        plan = cohort_plan()
-        chunked = chunk_cohorts(plan, 2)
-        assert [s.shard_id for s in chunked.shards] == list(
-            range(len(chunked.shards)))
-        original = [t for s in plan.shards for t in s.tasks]
-        split = [t for s in chunked.shards for t in s.tasks]
-        assert split == original  # ids, seeds, and order all intact
-        assert all(len(s.tasks) == 2 for s in chunked.shards)
-        assert all(s.cohort_size == 4 for s in chunked.shards)
-
-    def test_oversplit_degrades_to_singles(self):
-        chunked = chunk_cohorts(cohort_plan(), 99)
-        assert all(len(s.tasks) == 1 for s in chunked.shards)
-        # a one-member "cohort" is just a single run
-        assert all(s.cohort_size == 1 for s in chunked.shards)
-
-    def test_spec_threading(self):
-        spec = {"kind": "matrix", "scenarios": ["cp_timeout_transient"],
-                "modes": ["seed_r"], "replicas": 4, "seed": 1,
-                "shard_size": 4, "cohort_size": 4, "cohort_chunks": 2}
-        plan = plan_from_spec(spec)
-        assert len(plan.shards) == 2
-        with pytest.raises(ValueError):
-            plan_from_spec(dict(spec, cohort_chunks=0))
-        with pytest.raises(ValueError):
-            plan_from_spec({"kind": "suite", "suite": "table4", "runs": 2,
-                            "seed": 1, "shard_size": 2, "cohort_chunks": 2})
 
 
 # ---------------------------------------------------------------------------

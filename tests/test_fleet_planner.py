@@ -8,6 +8,7 @@ from repro.fleet.planner import (
     TaskSpec,
     filter_scenarios,
     matrix_tasks,
+    plan_from_spec,
     plan_matrix,
     repeat_tasks,
     shard_tasks,
@@ -128,3 +129,26 @@ class TestPlan:
         plan = plan_matrix(scenario_patterns=["cp_*"], modes=[HandlingMode.LEGACY],
                            replicas=2, master_seed=0, shard_size=3)
         assert [t.task_id for t in plan.tasks] == list(range(len(plan.tasks)))
+
+
+class TestSpec:
+    def test_unknown_keys_are_rejected_with_the_valid_ones(self):
+        # a misspelt axis must not silently plan another sweep
+        with pytest.raises(ValueError, match=r"'replica' \(valid: kind, "
+                           r"scenarios, modes, replicas, seed, shard_size, "
+                           r"cohort_size\)"):
+            plan_from_spec({"kind": "matrix", "scenarios": ["cp_plmn_config"],
+                            "replica": 5})
+        with pytest.raises(ValueError, match=r"'replicas' \(valid: kind, "
+                           r"suite, runs, seed, shard_size\)"):
+            plan_from_spec({"kind": "suite", "suite": "table4",
+                            "replicas": 2})
+        # every key a kind reads is accepted
+        plan = plan_from_spec({"kind": "matrix",
+                               "scenarios": ["cp_plmn_config"],
+                               "modes": ["legacy"], "replicas": 2, "seed": 1,
+                               "shard_size": 2, "cohort_size": 2})
+        assert len(plan.tasks) == 2
+        plan = plan_from_spec({"kind": "suite", "suite": "table4", "runs": 2,
+                               "seed": 1, "shard_size": 2})
+        assert plan.tasks

@@ -1,26 +1,16 @@
 """Work-stealing scheduler: batching, queue order, and determinism.
 
 The pool feeds one shared executor queue with fine-grained batches in
-LPT (longest-estimated-first) order; workers pull as they drain. These
-tests pin the deterministic pieces — cost model, steal order, batch
-shapes — and the invariant that stealing never changes results.
+plan (shard-id) order; workers pull as they drain. These tests pin the
+deterministic pieces — queue order, batch shapes — and the invariant
+that stealing never changes results.
 """
 
 from __future__ import annotations
 
-from repro.fleet.planner import (
-    FleetPlan,
-    Shard,
-    TaskSpec,
-    estimated_shard_cost,
-    estimated_task_cost,
-    plan_matrix,
-    shard_tasks,
-    steal_order,
-)
+from repro.fleet.planner import FleetPlan, TaskSpec, plan_matrix, shard_tasks
 from repro.fleet.pool import _batches, execute_plan
-from repro.testbed.harness import HORIZONS, HandlingMode
-from repro.infra.failures import FailureClass
+from repro.testbed.harness import HandlingMode
 
 
 def _task(task_id, scenario="cp_timeout_transient", handling="legacy"):
@@ -33,44 +23,6 @@ def synthetic_shard_fn(payload):
     return {"shard_id": payload["shard_id"],
             "tasks": [{"task_id": t["task_id"]} for t in payload["tasks"]],
             "learning": {}}
-
-
-class TestCostModel:
-    def test_cost_scales_with_class_horizon(self):
-        cp = estimated_task_cost(_task(0, scenario="cp_timeout_transient"))
-        dp = estimated_task_cost(_task(1, scenario="dp_outdated_dnn"))
-        assert cp == HORIZONS[FailureClass.CONTROL_PLANE]
-        assert dp == HORIZONS[FailureClass.DATA_PLANE]
-        assert dp > cp
-
-    def test_seed_modes_estimated_cheaper_than_legacy(self):
-        legacy = estimated_task_cost(_task(0, handling="legacy"))
-        seed_u = estimated_task_cost(_task(0, handling="seed_u"))
-        seed_r = estimated_task_cost(_task(0, handling="seed_r"))
-        assert seed_r < seed_u < legacy
-
-    def test_explicit_horizon_overrides_class_horizon(self):
-        task = TaskSpec(task_id=0, scenario="cp_timeout_transient",
-                        handling="legacy", seed=0, horizon=100.0)
-        assert estimated_task_cost(task) == 100.0
-
-    def test_shard_cost_sums_tasks(self):
-        shard = Shard(shard_id=0, tasks=(_task(0), _task(1)))
-        assert estimated_shard_cost(shard) == 2 * estimated_task_cost(_task(0))
-
-
-class TestStealOrder:
-    def test_longest_first_ties_by_id(self):
-        light = Shard(shard_id=0, tasks=(_task(0, handling="seed_r"),))
-        heavy = Shard(shard_id=1, tasks=(_task(1, handling="legacy"),))
-        twin = Shard(shard_id=2, tasks=(_task(2, handling="legacy"),))
-        assert steal_order([light, heavy, twin]) == [1, 2, 0]
-
-    def test_order_is_deterministic_for_a_real_plan(self):
-        plan = plan_matrix(replicas=2, master_seed=9, shard_size=2)
-        assert steal_order(plan.shards) == steal_order(plan.shards)
-        assert sorted(steal_order(plan.shards)) == sorted(
-            s.shard_id for s in plan.shards)
 
 
 class TestBatches:
@@ -96,12 +48,13 @@ class TestBatches:
 
 class TestStealingDeterminism:
     def test_inline_execution_follows_queue_order(self):
-        """workers<=1 drains the steal queue in LPT order — the same
-        order a single pool worker would pull batches in."""
+        """workers<=1 drains the queue in plan order — the same order a
+        single pool worker would pull batches in — whatever the tasks'
+        scenarios and modes."""
         tasks = (
-            [_task(i, scenario="dp_outdated_dnn", handling="legacy")
-             for i in range(2)]
-            + [_task(i + 2, handling="seed_r") for i in range(2)]
+            [_task(i, handling="seed_r") for i in range(2)]
+            + [_task(i + 2, scenario="dp_outdated_dnn", handling="legacy")
+               for i in range(2)]
         )
         plan = FleetPlan(master_seed=0, shards=shard_tasks(tasks, shard_size=1))
         seen = []
@@ -111,8 +64,7 @@ class TestStealingDeterminism:
             return {"shard_id": payload["shard_id"], "tasks": [], "learning": {}}
 
         execute_plan(plan, workers=1, shard_fn=recording)
-        assert seen == steal_order(plan.shards)
-        assert seen[0] in (0, 1)  # a data-plane (heavy) shard leads
+        assert seen == [0, 1, 2, 3]
 
     def test_results_identical_at_any_worker_count(self):
         plan = plan_matrix(scenario_patterns=["cp_*"],

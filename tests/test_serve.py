@@ -446,11 +446,12 @@ class TestHttpApi:
             loaded = client.run(status["fingerprint"])
             assert loaded["aggregate"] == final["aggregate"]
 
-            try:
-                client.submit({"kind": "nope"})
-                raise AssertionError("bad spec must be rejected")
-            except ServeError as exc:
-                assert exc.status == 400
+            for bad in ({"kind": "nope"}, {"kind": "matrix", "replica": 5}):
+                try:
+                    client.submit(bad)
+                    raise AssertionError(f"bad spec {bad} must be rejected")
+                except ServeError as exc:
+                    assert exc.status == 400
             try:
                 client.cancel("job-9999")
                 raise AssertionError("unknown job must 404")

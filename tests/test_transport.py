@@ -241,14 +241,13 @@ class TestUdpClient:
         sim.run_until_idle()
         assert outcomes[0].result is UdpResult.REPLIED
 
-    def test_exchange_timeout_and_loss_rate(self):
+    def test_exchange_timeout(self):
         sim = Simulator()
         udp = UdpClient(sim, StubPlane(sim, {Protocol.UDP: "drop"}))
         outcomes = []
         udp.exchange("x", 9000, outcomes.append, timeout=1.0)
         sim.run_until_idle()
         assert outcomes[0].result is UdpResult.TIMEOUT
-        assert udp.recent_loss_rate() == 1.0
 
 
 class TestExchangeDeadline:
