@@ -11,6 +11,12 @@ learning state or rendered number moves.
 The data-delivery pins (``dd_gateway_stale_cohort4``, ``serve_probe``,
 ``table5_delivery``) were recorded on the tree before UDP apps parked
 in a black hole: they cover the exchanges that time out after a clear.
+
+The churn pins (``CHURN_READS``, ``table5_disruption``) were recorded on
+the tree before DNS and TCP apps parked: full-precision reads of the
+apps, Android and the transport clients after the two long outages the
+detectors see, and the raw Table 5 dict of the apps that launch before
+the block (request timeouts, and the TCP clean-up rung).
 """
 
 from __future__ import annotations
@@ -28,8 +34,11 @@ from repro.experiments import (
     online_learning,
     table5,
 )
+from repro.experiments.table4 import DD_ANDROID_TIMERS
 from repro.fleet.planner import plan_from_spec
 from repro.fleet.runner import FleetRunner
+from repro.testbed.harness import HandlingMode, run_one
+from repro.testbed.scenarios import scenario_by_name
 
 AGGREGATES = {
     "table4": ({"kind": "suite", "suite": "table4", "runs": 8, "seed": 4000},
@@ -93,3 +102,67 @@ def test_experiment_render_digest(monkeypatch, name):
     monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
     render, digest = RENDERS[name]
     assert _sha256(render().encode()) == digest
+
+
+#: (scenario, timers) -> digest of ``_churn_reads`` over 3 modes x 2 seeds.
+CHURN_READS = {
+    ("dd_dns_outage", "stock"):
+        "02f812d3c3383546a1fc3652d8249006059161ce4a322c313dacc04429b7a179",
+    ("dd_dns_outage", "dd"):
+        "768ecbebd64266fa5b1d3cadfb9409232096a15aca631ba6e19341715433bed4",
+    ("dd_tcp_policy_block", "stock"):
+        "fa42f13854dfd6cee01597cdf8a76a3e7bb755e6cbd0864d9cd7e14ea505b2ad",
+    ("dd_tcp_policy_block", "dd"):
+        "ebfd7bcc9578077e37ff853aaaa72f7dd6977957959e70a3e6e88c60384cf76a",
+}
+CHURN_SEEDS = (777, 2718)
+
+TABLE5_DISRUPTION = "4b5d5b4b7c6bf03edff1266a4e7a99cefadcd8c1a1f1b99d17a3335d2e48f4a0"
+
+
+def _churn_reads(scenario: str, timers) -> str:
+    """Every read the detectors, the meter and a test can take of the
+    apps, Android and the transport clients after each run, as repr
+    text (floats at full precision)."""
+    lines = []
+    for handling in HandlingMode:
+        for seed in CHURN_SEEDS:
+            result, testbed = run_one(scenario_by_name(scenario), handling, seed=seed,
+                                      android_timers=timers)
+            device = testbed.device
+            apps = {
+                name: (app.exchanges, app.successes, app.consecutive_failures,
+                       [(d.start, d.end) for d in app.disruptions],
+                       list(app.reports_sent))
+                for name, app in sorted(device.apps.items())
+            }
+            android = device.android
+            stats = device.tcp.stats
+            lines.append(repr((
+                handling.value, seed, result.duration, apps,
+                [(s.time, s.reason.value) for s in android.stalls],
+                list(android.recovery_actions),
+                [(o.result.value, o.name, o.address, o.latency, o.time)
+                 for o in device.dns.history],
+                device.dns.consecutive_timeouts(),
+                list(stats.attempts), list(stats.outbound), list(stats.inbound),
+                (device.udp.deadline, device.tcp.deadline, device.dns.deadline),
+            )))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("scenario,timers", sorted(CHURN_READS))
+def test_churn_reads_digest(monkeypatch, scenario, timers):
+    monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
+    android_timers = DD_ANDROID_TIMERS if timers == "dd" else None
+    text = _churn_reads(scenario, android_timers)
+    assert _sha256(text.encode()) == CHURN_READS[(scenario, timers)]
+
+
+def test_table5_disruption_digest(monkeypatch):
+    """The raw dict, not the 0.1 s render."""
+    monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
+    result = table5.run(apps=("video", "live_stream", "web"), classes=("d_delivery",))
+    text = repr(sorted((app, cls, mode.value, value)
+                       for (app, cls, mode), value in result.disruption.items()))
+    assert _sha256(text.encode()) == TABLE5_DISRUPTION
