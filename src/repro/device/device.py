@@ -86,6 +86,18 @@ class Device:
             self.dns.configure(session.dns_server)
 
     # ------------------------------------------------------------------
+    def hold_parks(self, until: float) -> None:
+        """Release every parked cadence and park none until the clock
+        is past ``until`` (see ``DisruptionMeter._on_event``)."""
+        for client in (self.udp, self.dns, self.tcp):
+            client.parking.hold(until)
+
+    def freeze_parks(self, at: float) -> None:
+        """Account every parked cadence up to ``at``, where the run
+        stopped, and end its park."""
+        for client in (self.udp, self.dns, self.tcp):
+            client.parking.freeze(at)
+
     def launch_app(self, name: str, report_api=None, server_ip: str = "203.0.113.10") -> App:
         profile = APP_PROFILES[name]
         app = App(self.sim, profile, self.dns, self.tcp, self.udp,

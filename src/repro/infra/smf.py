@@ -279,6 +279,7 @@ class Smf:
             ctx.tft = new_tft
         if new_dns_server is not None:
             ctx.dns_server = new_dns_server
+        self.upf.session_modified(supi)
         self.cpu.note_procedure()
         self.gnb.downlink(
             supi,

@@ -20,6 +20,7 @@ from repro.infra.failures import FailureEngine, FailureMode
 from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 from repro.transport.packets import Direction, Packet, Protocol, Verdict
+from repro.transport.parking import WakeList
 
 
 @dataclass
@@ -79,9 +80,9 @@ class Upf:
         # mutation. Packets outnumber session changes by orders of
         # magnitude, so the linear scan runs once per (ip, epoch).
         self._ip_cache: dict[str, SessionContext] = {}
-        #: supi -> wakes of parked uplink cadences (:meth:`park`), run
+        #: Wakes of parked uplink cadences per SUPI (:meth:`park`), run
         #: on any change that can alter those packets' fate.
-        self._wakes: dict[str, list[Callable[[], None]]] = {}
+        self._wakes = WakeList()
         # Global clear observers run before the per-subscriber ones, so
         # a woken cadence is accounted before the meter reads it.
         engine.on_clear.append(self._on_clear)
@@ -95,14 +96,18 @@ class Upf:
     def add_session(self, ctx: SessionContext) -> None:
         self.sessions.setdefault(ctx.supi, {})[ctx.pdu_session_id] = ctx
         self._ip_cache.clear()
-        self._wake(ctx.supi)
+        self._wakes.run(ctx.supi)
 
     def remove_session(self, supi: str, pdu_session_id: int) -> SessionContext | None:
         self._ip_cache.clear()
         removed = self.sessions.get(supi, {}).pop(pdu_session_id, None)
         if removed is not None:
-            self._wake(supi)
+            self._wakes.run(supi)
         return removed
+
+    def session_modified(self, supi: str) -> None:
+        """A session of ``supi`` changed in place (its resolver)."""
+        self._wakes.run(supi)
 
     def session_for_ip(self, ip: str) -> SessionContext | None:
         ctx = self._ip_cache.get(ip)
@@ -150,41 +155,50 @@ class Upf:
         on_response(reply)
 
     # ------------------------------------------------------------------
-    # Parked uplink cadences (see ``UdpClient.park``)
+    # Parked uplink cadences (see ``repro.transport.parking``)
     # ------------------------------------------------------------------
-    def park(self, src_ip: str, protocol: Protocol, wake: Callable[[], None]) -> bool:
+    def park(self, src_ip: str, protocol: Protocol, wake: Callable[[], None],
+             dst_ip: str = "") -> bool:
         """Promise ``wake`` on any change that could let an uplink
-        ``protocol`` packet from ``src_ip`` through, if a failure drops
-        it now.
+        ``protocol`` packet from ``src_ip`` (to ``dst_ip``) be answered,
+        if none can be now.
 
-        True when an uncleared BLOCK failure matches that flow. Until it
-        clears, or a session of the subscriber comes or goes, every such
-        packet is dropped whatever else changes: rules and policies only
-        add drops, and other failures do not lift this one. A clear of
-        any failure that applies to the subscriber wakes it.
+        True when an uncleared BLOCK failure matches that flow, or, for
+        a DNS query to the session's resolver, an uncleared DNS_OUTAGE
+        covers that resolver (the query is delivered and never
+        answered). Until the failure clears, or a session of the
+        subscriber comes, goes or changes its resolver, every such
+        packet stays unanswered whatever else changes: rules and
+        policies only add drops, and other failures do not lift this
+        one. Neither fate writes UPF state or draws a latency sample. A
+        clear of any failure that applies to the subscriber wakes it.
         """
         ctx = self.session_for_ip(src_ip)
         if ctx is None:
             return False
+        value = protocol.value
         for failure in self.engine.scoped_active(ctx.supi):
+            if failure.cleared:
+                continue
             spec = failure.spec
-            if (spec.mode is FailureMode.BLOCK and not failure.cleared
-                    and spec.block_protocol in ("", protocol.value)
-                    and spec.block_direction in ("both", "uplink")):
-                wakes = self._wakes.setdefault(ctx.supi, [])
-                if wake not in wakes:
-                    wakes.append(wake)
+            if spec.mode is FailureMode.BLOCK:
+                holds = (spec.block_protocol in ("", value)
+                         and spec.block_direction in ("both", "uplink"))
+            else:
+                holds = (spec.mode is FailureMode.DNS_OUTAGE
+                         and protocol is Protocol.DNS and dst_ip == ctx.dns_server
+                         and spec.dns_server in ("", ctx.dns_server))
+            if holds:
+                self._wakes.add(ctx.supi, wake)
                 return True
         return False
 
-    def _wake(self, supi: str) -> None:
-        for wake in self._wakes.pop(supi, ()):
-            wake()
-
     def _on_clear(self, failure) -> None:
         supi = failure.spec.supi
-        for woken in (supi,) if supi else list(self._wakes):
-            self._wake(woken)
+        if supi:
+            self._wakes.run(supi)
+        else:
+            self._wakes.run_all()
 
     # ------------------------------------------------------------------
     # Pure oracles (no counters; used by the measurement harness)

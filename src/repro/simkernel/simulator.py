@@ -390,6 +390,12 @@ class Simulator:
         return None
 
     @property
+    def running(self) -> bool:
+        """True inside :meth:`run` (while an event fires), False between
+        runs, when every event at or before ``now`` has fired."""
+        return self._running
+
+    @property
     def fired_events(self) -> int:
         """Total number of events fired so far."""
         return self._fired_count

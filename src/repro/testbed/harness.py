@@ -476,11 +476,19 @@ class Cohort:
                     math.nextafter(slot.end, math.inf), self._freeze, slot,
                     maintenance=True, label="cohort:freeze",
                 )
+        stopped = sim.quiesced_at
         if os.environ.get("REPRO_FULL_HORIZON") == "1":
             sim.run(until=cohort_end)
             elided = 0
         else:
             elided = sim.run_quiescent(cohort_end, self._all_settled)
+        # Parked cadences read as the eager chain left them: at the
+        # quiescent stop, or with every event up to the horizon fired.
+        at = sim.quiesced_at
+        if at is None or at == stopped:
+            at = math.nextafter(cohort_end, math.inf)
+        for slot in self.slots:
+            slot.device.freeze_parks(at)
         self.core.engine.settle(cohort_end)
         # Members whose freeze did not fire: those ending last (none
         # scheduled) and, after a quiescent stop, everyone still pending

@@ -213,6 +213,11 @@ class DisruptionMeter:
 
     def _on_event(self) -> None:
         self._changed_after = max(self._exchange_deadline(), self.sim.now)
+        if self._config_blocks():
+            # The censored branch of settled() turns true at the first
+            # event past this bound. Keep every app eager until then, so
+            # that event is a real one, as in the eager run.
+            self.device.hold_parks(self._changed_after)
         if self._armed:
             self._schedule_check(EVENT_CHECK_DELAY)
 
@@ -305,8 +310,7 @@ class DisruptionMeter:
         device = self.device
         # O(1) gate: only a config-level block can censor a run for good.
         # The kernel calls this on every event of any open outage.
-        policy = self._policies.get(device.supi)
-        if (policy is None or not policy.blocked) and not self._upf.rules:
+        if not self._config_blocks():
             return False
         # Every exchange launched up to the last connectivity change
         # (session recycle, reattach, resolver switch) has resolved.
@@ -337,6 +341,11 @@ class DisruptionMeter:
         # never happens.
         return (not tcp_blocked and android.detectors_quiet()
                 and oracle.ok(self._probe_target))
+
+    def _config_blocks(self) -> bool:
+        """Does any rule or this device's policy block something?"""
+        policy = self._policies.get(self.device.supi)
+        return (policy is not None and bool(policy.blocked)) or bool(self._upf.rules)
 
     def _seed_idle(self) -> bool:
         """No SEED component on this device has work pending."""

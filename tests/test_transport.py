@@ -205,6 +205,24 @@ class TestTcpClient:
         sim.run_until_idle()
         assert tcp.close_all() == 3
 
+    def test_fresh_clients_send_identical_source_ports(self):
+        """Connection ids count per client, not per process, and only
+        established handshakes are kept."""
+        ports = []
+        for _ in range(2):
+            sim, plane, tcp = self.make()
+            tcp.connect("x", 443, lambda conn: None)
+            plane.behaviour[Protocol.TCP] = "drop"
+            tcp.connect("x", 443, lambda conn: None, timeout=1.0)
+            plane.behaviour[Protocol.TCP] = "reply"
+            tcp.connect("x", 443, lambda conn: None)
+            sim.run_until_idle()
+            ports.append([packet.src_port for packet in plane.submitted])
+            assert [conn.conn_id for conn in tcp.connections] == [1, 3]
+            assert tcp.close_all() == 2
+            assert tcp.close_all() == 0
+        assert ports[0] == ports[1] == [40001, 40002, 40003]
+
 
 class TestTcpStats:
     def test_failure_rate_windowed(self):
