@@ -29,10 +29,17 @@ in which HEAD's value is better than, worse than or equal to BASE's of
 the same seed. They do not enter the verdict; a gain is claimed only
 when HEAD wins at least 9 pairs of 10.
 
+After the pairs, each side makes one traced run (``--trace 1``) at
+:data:`COUNT_SEED`. Its exactly repeatable counts,
+``simkernel.events_per_task`` and every ``*.calls_per_task``, show
+which layer's work moved with a number free of the runner's noise.
+They do not enter the verdict.
+
 Prints each run's values, then each metric's median, quartiles and
-pair wins per side, and as its last line one JSON report: every run's result lines,
-the summary, the problems, ``cpu_count``, the Python version, the
-seeds and the pair count. Exits 0 when HEAD passes and 1 when it
+pair wins per side and each workload's counts per side, and as its
+last line one JSON report: every run's result lines, the summary
+(counts included), the problems, ``cpu_count``, the Python version,
+the seeds and the pair count. Exits 0 when HEAD passes and 1 when it
 fails.
 """
 
@@ -52,16 +59,19 @@ import stats  # noqa: E402
 #: Pairs of runs; pair ``i`` runs seed ``SEEDS[i]`` on both sides.
 PAIRS = 5
 SEEDS = tuple(range(100, 100 + PAIRS))
+#: The seed of each side's one traced run (exact counts).
+COUNT_SEED = 3
 #: Hard stop for one run of every workload (~60 s on a 2-vCPU runner).
 RUN_TIMEOUT_S = 900
 
 
-def run_checkout(checkout: Path, seed: int) -> dict[str, dict]:
-    """One benchmark run in ``checkout``: the result line of every
-    workload that printed one, by workload name."""
+def run_checkout(checkout: Path, seed: int, trace: bool = False) -> dict[str, dict]:
+    """One benchmark run in ``checkout`` (traced if ``trace``): the
+    result line of every workload that printed one, by workload name."""
     try:
         out = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--seed", str(seed)],
+            [sys.executable, "perfbench/run.py", "--seed", str(seed),
+             "--trace", "1" if trace else "0"],
             cwd=checkout, capture_output=True, text=True,
             timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -169,6 +179,26 @@ def judge(spec: dict, base: list[dict], head: list[dict]) -> tuple[dict, list[st
     return summary, problems
 
 
+def is_count(name: str) -> bool:
+    """An exactly repeatable per-layer count (not a time or a share)."""
+    return name == "simkernel.events_per_task" or name.endswith(".calls_per_task")
+
+
+def add_counts(summary: dict, base: dict[str, dict], head: dict[str, dict]) -> None:
+    """Put each workload's counts from one traced run per side into
+    ``summary``: ``counts[name] = {"base": value, "head": value}``, a
+    side's value None when its run lacks it."""
+    for workload, entry in summary.items():
+        sides = {side: run.get(workload, {}).get("metrics", {})
+                 for side, run in (("base", base), ("head", head))}
+        names = sorted({name for metrics in sides.values() for name in metrics
+                        if is_count(name)})
+        entry["counts"] = {
+            name: {side: metrics[name]["value"] if name in metrics else None
+                   for side, metrics in sides.items()}
+            for name in names}
+
+
 def print_run(side: str, seed: int, results: dict[str, dict]) -> None:
     for workload, result in sorted(results.items()):
         print(f"  {side} seed {seed} {workload:7s} correct {result['correct']} "
@@ -197,6 +227,17 @@ def print_summary(spec: dict, summary: dict) -> None:
                   f"{pairs['wins']}/{sum(pairs.values())} ({pairs['losses']} lost, "
                   f"{pairs['ties']} tied)  bound "
                   f"{bounds[name]['bound']:.0%} {bounds[name]['better']}  {label}")
+        for name, row in entry.get("counts", {}).items():
+            base, head = row["base"], row["head"]
+            change = (f"{head / base - 1.0:+7.1%}" if base and head is not None
+                      else "")
+            print(f"  {name:28s} base {_count(base):>10s}   head "
+                  f"{_count(head):>10s}   {change}  (traced seed {COUNT_SEED}, "
+                  f"not gated)")
+
+
+def _count(value: float | None) -> str:
+    return "-" if value is None else f"{value:.4g}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -214,7 +255,10 @@ def main(argv: list[str] | None = None) -> int:
             results = run_checkout(checkouts[side], seed)
             runs[side].append(results)
             print_run(side, seed, results)
+    traced = {side: run_checkout(checkouts[side], COUNT_SEED, trace=True)
+              for side in ("base", "head")}
     summary, problems = judge(spec, runs["base"], runs["head"])
+    add_counts(summary, traced["base"], traced["head"])
     print_summary(spec, summary)
     for problem in problems:
         print(f"FAIL {problem}")

@@ -60,18 +60,3 @@ class Packet:
             size_bytes=self.size_bytes,
             payload=payload,
         )
-
-
-@dataclass(frozen=True)
-class FiveTuple:
-    """Flow key used by TFT packet filters."""
-
-    protocol: Protocol
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-
-    @classmethod
-    def of(cls, packet: Packet) -> "FiveTuple":
-        return cls(packet.protocol, packet.src_ip, packet.dst_ip, packet.src_port, packet.dst_port)

@@ -142,3 +142,41 @@ def test_pair_wins_skip_pairs_missing_a_value():
     metrics = summary["serve"]["metrics"]
     assert sum(metrics["tasks_per_s"]["pairs"].values()) == len(perf_ab.SEEDS) - 1
     assert sum(metrics["job_p90_ms"]["pairs"].values()) == len(perf_ab.SEEDS) - 2
+
+
+def traced(**counts: float) -> dict:
+    """One traced run: every workload's result line with per-layer
+    metrics, counts among them."""
+    metrics = {"simkernel.us_per_event": {"value": 1.5, "unit": "us"},
+               "pool.busy_share": {"value": 0.9, "unit": "fraction"}}
+    metrics.update({name: {"value": value, "unit": "count"}
+                    for name, value in counts.items()})
+    return {w: {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics}
+            for w in WORKLOADS}
+
+
+def test_counts_rows_per_workload_stay_out_of_the_verdict(capsys):
+    summary, problems = perf_ab.judge(SPEC, runs(), runs(tasks_per_s=10.0))
+    perf_ab.add_counts(summary,
+                       traced(**{"simkernel.events_per_task": 419.9,
+                                 "transport.calls_per_task": 542.5}),
+                       traced(**{"simkernel.events_per_task": 210.0,
+                                 "device.calls_per_task": 300.0}))
+    for workload in WORKLOADS:
+        assert summary[workload]["counts"] == {
+            "device.calls_per_task": {"base": None, "head": 300.0},
+            "simkernel.events_per_task": {"base": 419.9, "head": 210.0},
+            "transport.calls_per_task": {"base": 542.5, "head": None},
+        }
+    assert len(problems) == len(WORKLOADS)  # the loss alone, as before
+    perf_ab.print_summary(SPEC, summary)
+    out = capsys.readouterr().out
+    assert "simkernel.events_per_task" in out and "-50.0%" in out
+    assert "not gated" in out and "us_per_event" not in out
+
+
+def test_counts_are_exact_layer_counts_only():
+    assert perf_ab.is_count("simkernel.events_per_task")
+    assert perf_ab.is_count("crypto.calls_per_task")
+    assert not perf_ab.is_count("simkernel.us_per_event")
+    assert not perf_ab.is_count("simkernel.elided_per_task")
