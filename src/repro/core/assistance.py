@@ -212,7 +212,7 @@ class AssistanceTree:
         """Walk the tree; returns the decision with its path trace.
 
         ``config_lookup`` temporarily overrides the tree's store lookup
-        for this event — cohort runs bind it to the failing UE's scoped
+        for this event — the plugin binds it to the failing UE's scoped
         config view so a shared tree serves every UE.
         """
         self._pending_path: list[str] = []

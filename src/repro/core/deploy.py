@@ -56,9 +56,8 @@ def deploy_seed(
     deployment = SeedDeployment(plugin=plugin, stage=stage)
 
     for device in devices:
-        # Mixed cohorts deploy SEED for a subset of UEs: the plugin only
-        # serves the devices actually handed to deploy_seed, so legacy
-        # cohort members see a plain network (one-member parity).
+        # The plugin only serves the devices handed to deploy_seed, so
+        # other UEs on the same core see a plain network.
         plugin.enroll(device.supi)
         applet = SeedApplet(
             k=device.profile.k,

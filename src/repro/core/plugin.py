@@ -93,8 +93,8 @@ class SeedCorePlugin:
     # ------------------------------------------------------------------
     def enroll(self, supi: str) -> None:
         """Restrict service to enrolled SUPIs (first call flips the
-        default-open policy). Mixed cohorts enroll only their SEED
-        members so legacy UEs see a plain network."""
+        default-open policy). A core shared by several devices enrolls
+        only the SEED ones, so the others see a plain network."""
         if self._enrolled is None:
             self._enrolled = set()
         self._enrolled.add(supi)

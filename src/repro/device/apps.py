@@ -254,11 +254,6 @@ class App:
 
     # ------------------------------------------------------------------
     def _record(self, success: bool, failure_type: str) -> None:
-        if not self.running:
-            # Stopped (a frozen cohort member): an exchange still in
-            # flight resolves into nobody's record, as it would past
-            # the end of a one-member run.
-            return
         parked = self._parked
         if parked is not None:
             if not success:

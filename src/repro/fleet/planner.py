@@ -71,12 +71,12 @@ class TaskSpec:
 class Shard:
     """A batch of tasks executed by one worker invocation.
 
-    ``cohort_size > 1`` marks a *cohort shard*: the worker runs all of
-    its tasks as one multi-UE :class:`repro.testbed.harness.Cohort` on
-    a single simulator instead of one testbed per task. Each task still
-    carries its own seed, so the per-task records are byte-identical
-    either way. The field is omitted from the wire form when 1, keeping
-    plan fingerprints and checkpoints for non-cohort sweeps unchanged.
+    ``cohort_size > 1`` marks a *cohort shard*, packed by
+    :func:`shard_tasks`. The worker runs each of its tasks alone on its
+    own one-UE testbed, as for any shard, so the per-task records are
+    the same either way. The field is omitted from the wire form when
+    1, keeping plan fingerprints and checkpoints for non-cohort sweeps
+    unchanged.
     """
 
     shard_id: int
@@ -211,10 +211,9 @@ def shard_tasks(
 ) -> tuple[Shard, ...]:
     """Pack tasks into shards of ``shard_size`` (last may be smaller).
 
-    ``cohort_size > 1`` switches to one-cohort-per-shard packing: each
-    shard holds up to ``cohort_size`` tasks and is executed as a single
-    multi-UE simulator instance (``shard_size`` is ignored — the cohort
-    IS the shard).
+    ``cohort_size > 1`` switches to cohort packing: each shard holds up
+    to ``cohort_size`` tasks (``shard_size`` is ignored) and carries
+    ``cohort_size``, which enters the plan fingerprint.
     """
     if shard_size < 1:
         raise ValueError(f"shard_size must be >= 1, got {shard_size}")
@@ -235,10 +234,9 @@ def residual_plan(plan: FleetPlan, done_task_ids: set[int]) -> FleetPlan:
 
     The result-cache partition: tasks whose records are already in hand
     (``done_task_ids``) drop out, shards left empty disappear, and a
-    cohort shard with K satisfied members legally shrinks to a cohort
-    of N−K — the PR 7 parity invariant (every member fully isolated
-    under its own task seed) makes any partition of a cohort
-    record-equivalent. A single leftover member degrades to
+    cohort shard with K satisfied tasks shrinks to its N−K others —
+    every task runs alone under its own seed, so any partition of a
+    shard is record-equivalent. A single leftover task degrades to
     ``cohort_size=1``.
 
     Shard ids and task ids/seeds are preserved, so residual results
@@ -301,9 +299,9 @@ def plan_from_spec(spec: dict) -> FleetPlan:
         {"kind": "suite", "suite": "table4" | "coverage", "runs": 30,
          "seed": 4000, "shard_size": 4}
 
-    ``cohort_size > 1`` (matrix sweeps only) packs one multi-UE cohort
-    per shard instead of independent single-UE testbeds; per-task
-    records are byte-identical either way.
+    ``cohort_size > 1`` (matrix sweeps only) packs the tasks into
+    cohort shards of that size; per-task records are byte-identical
+    either way.
 
     This is the single spec → plan mapping: ``python -m repro.fleet``,
     ``python -m repro.serve submit``, and the daemon's job queue all

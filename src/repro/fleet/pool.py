@@ -247,7 +247,7 @@ def execute_plan(
     (:mod:`repro.fleet.resultcache`): pending tasks are looked up
     before any dispatch, fully cached shards complete without running,
     partially cached cohort shards legally shrink to their residual
-    members, and every freshly computed task is written back from the
+    tasks, and every freshly computed task is written back from the
     worker that ran it. The residual plan — not the submitted one —
     drives the executor choice, so a warm resubmit resolves inline no
     matter how large the original sweep was. Custom ``shard_fn`` s are

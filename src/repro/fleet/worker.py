@@ -1,16 +1,15 @@
-"""Shard execution: one fresh ``Testbed`` per task, or one ``Cohort``.
+"""Shard execution: one fresh ``Testbed`` per task.
 
 ``run_shard`` is the unit the process pool ships to workers; it takes
 and returns plain JSON-safe dicts so it pickles cheaply and its output
 can be appended verbatim to the checkpoint JSONL. Each task builds its
 own simulator seeded from the task spec, so results depend only on the
-spec — never on which worker ran it or in what order.
+spec — never on which worker ran it, in what order, or in which shard.
 
-Cohort shards (``cohort_size > 1``) run all of the shard's tasks as a
-single multi-UE simulator instance. Each UE keeps its task's seed as
-its private stream seed, so the per-task records are byte-identical to
-the one-testbed-per-task path — the only difference is the audit-only
-``elided_events`` field, which reports the cohort-wide count.
+Cohort shards (``cohort_size > 1``) run the same way: the shard is the
+schedulable unit, so dispatch, checkpoint and fold costs stay per
+shard, but every task runs alone and stops at its own quiescent
+instant.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from repro.device.android import AndroidTimers
 from repro.fleet.planner import Shard, TaskSpec
 from repro.fleet.resultcache import ResultCache
 from repro.testbed import preload
-from repro.testbed.harness import Cohort, CohortMember, HandlingMode, run_one
+from repro.testbed.harness import HandlingMode, run_one
 from repro.testbed.scenarios import scenario_by_name
 
 #: Process-wide write-back target for the result cache. Set by the pool
@@ -61,18 +60,7 @@ def run_task(task: TaskSpec) -> tuple[dict, dict]:
         android_timers=_timers_from_spec(task.android_timers),
         horizon=task.horizon,
     )
-    record = _task_record(task, result, result.meta.get("elided_events", 0))
-    learning = testbed.learning_records()
-    if _CACHE is not None:
-        _CACHE.store(task, record, learning)
-    return record, learning
-
-
-def _task_record(task: TaskSpec, result, elided_events: int) -> dict:
-    """The checkpoint record for one completed task (shared by both
-    execution paths — field-for-field identical)."""
-    scenario = scenario_by_name(task.scenario)
-    return {
+    record = {
         "task_id": task.task_id,
         "scenario": task.scenario,
         "handling": task.handling,
@@ -86,59 +74,43 @@ def _task_record(task: TaskSpec, result, elided_events: int) -> dict:
         # Heap entries discarded by quiescent termination (0 under
         # REPRO_FULL_HORIZON). Audit data only: the aggregator reads
         # known keys, so this never enters aggregate.json.
-        "elided_events": elided_events,
+        "elided_events": result.meta["elided_events"],
     }
+    learning = testbed.learning_records()
+    if _CACHE is not None:
+        _CACHE.store(task, record, learning)
+    return record, learning
+
+
+def _run_tasks(tasks: tuple[TaskSpec, ...]) -> tuple[list[dict], dict]:
+    """Run tasks one by one; returns their records and merged learning."""
+    records = []
+    learning: dict[str, dict[str, int]] = {}
+    for task in tasks:
+        record, task_learning = run_task(task)
+        records.append(record)
+        merge_records(learning, task_learning)
+    return records, learning
 
 
 def run_cohort_tasks(tasks: tuple[TaskSpec, ...]) -> tuple[list[dict], dict]:
-    """Run a shard's tasks as one multi-UE cohort.
+    """Run a cohort shard's tasks, each alone through :func:`run_task`.
 
-    Each task becomes one cohort member with the task's own seed, so
-    its record matches the single-testbed path byte for byte. The
-    cohort's simulator seed (``tasks[0].seed``) is inert: with every
-    member isolated, no draw ever touches the shared stream set.
+    ``cohort_size`` only packs tasks into shards: each task's record,
+    ``elided_events`` included, and learning are :func:`run_task`'s
+    bytes, whatever its packing.
+
+    Keep the name: the repository benchmark's layer spans
+    (``perfbench/spans.py``) wrap ``run_cohort_tasks`` by name to count
+    the tasks of cohort shards.
     """
-    members = [
-        CohortMember(
-            scenario=scenario_by_name(task.scenario),
-            handling=HandlingMode(task.handling),
-            seed=task.seed,
-            android_timers=_timers_from_spec(task.android_timers),
-            horizon=task.horizon,
-        )
-        for task in tasks
-    ]
-    cohort = Cohort(members, seed=tasks[0].seed)
-    outcome = cohort.run()
-    records = []
-    learning: dict[str, dict[str, int]] = {}
-    for task, result, slot in zip(tasks, outcome.results, cohort.slots):
-        record = _task_record(task, result, outcome.elided_events)
-        records.append(record)
-        wire = cohort.learning_records_for(slot)
-        if _CACHE is not None:
-            # Per-member write-back: the record and wire learning are
-            # byte-identical to the single-testbed path (PR 7 parity),
-            # so a cohort-produced entry satisfies any future sweep
-            # regardless of its packing. elided_events is cohort-wide
-            # audit data and never enters the aggregate.
-            _CACHE.store(task, record, wire)
-        merge_records(learning, wire)
-    return records, learning
+    return _run_tasks(tasks)
 
 
 def run_shard_object(shard: Shard) -> dict:
     """Execute one :class:`Shard`."""
-    if shard.cohort_size > 1 and shard.tasks:
-        records, learning = run_cohort_tasks(shard.tasks)
-        return {"shard_id": shard.shard_id, "tasks": records,
-                "learning": learning}
-    records = []
-    learning = {}
-    for task in shard.tasks:
-        record, task_learning = run_task(task)
-        records.append(record)
-        merge_records(learning, task_learning)
+    run = run_cohort_tasks if shard.cohort_size > 1 else _run_tasks
+    records, learning = run(shard.tasks)
     return {"shard_id": shard.shard_id, "tasks": records, "learning": learning}
 
 

@@ -60,11 +60,10 @@ class ConfigStore:
 
     Every harness UE gets a **copy-on-write overlay** of the global
     :class:`NetworkConfig`: scenario mutations scoped to one SUPI land
-    on that UE's overlay and are invisible to every other UE, which is
-    what makes a cohort member's behaviour byte-identical to a
-    one-member run against its own private store. Reads resolve overlay
-    first (:meth:`config_for`); the unscoped path (no ``supi``; cores
-    built directly, as in unit tests) mutates the global config.
+    on that UE's overlay and are invisible to every other UE on the
+    same core. Reads resolve overlay first (:meth:`config_for`); the
+    unscoped path (no ``supi``; cores built directly, as in unit
+    tests) mutates the global config.
     """
 
     def __init__(self, config: NetworkConfig | None = None) -> None:
@@ -80,7 +79,7 @@ class ConfigStore:
             self.user_policies[supi] = policy
         return policy
 
-    # -- per-UE overlays (cohort isolation) ----------------------------
+    # -- per-UE overlays (per-UE isolation) ---------------------------
     def config_for(self, supi: str = "") -> NetworkConfig:
         """The config a subscriber sees: their overlay, else the global."""
         if supi and self._overlays:
@@ -158,7 +157,7 @@ class ScopedConfigStore:
 
     Quacks like the store for everything scenario builders and the SEED
     plugin touch, but ``.config`` resolves to the UE's copy-on-write
-    overlay and the mutators bind the UE's SUPI — so a cohort member's
+    overlay and the mutators bind the UE's SUPI — so a harness UE's
     scenario setup mutates only its own view of the network.
     """
 

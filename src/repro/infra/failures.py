@@ -112,9 +112,9 @@ class FailureEngine:
         self.on_clear: list = []
         # Per-subscriber indexes. ``active`` stays the canonical
         # ordered list; these buckets exist so the per-procedure
-        # queries and per-clear notifications a cohort of N UEs issues
-        # stay O(own rules), not O(all N members' rules). Key "" holds
-        # unscoped rules (``spec.supi == ""`` applies to everyone).
+        # queries and per-clear notifications of N UEs on one core stay
+        # O(own rules), not O(all N UEs' rules). Key "" holds unscoped
+        # rules (``spec.supi == ""`` applies to everyone).
         self._active_by_supi: dict[str, list[ActiveFailure]] = {}
         self._observers_by_supi: dict[str, list] = {}
 
@@ -122,8 +122,8 @@ class FailureEngine:
         """Register a clear observer filtered to one subscriber.
 
         Unscoped failures (``spec.supi == ""``) notify everyone; scoped
-        failures notify only their subscriber. This keeps cohort
-        members from waking each other's meters on every clear.
+        failures notify only their subscriber. This keeps UEs on one
+        core from waking each other's meters on every clear.
         """
         self._observers_by_supi.setdefault(supi, []).append(callback)
 

@@ -113,7 +113,7 @@ class Nms:
 
 
 class ScopedNms:
-    """Per-UE facade binding every NMS call to one SUPI (cohort view)."""
+    """Per-UE facade binding every NMS call to one SUPI (a harness UE's view)."""
 
     __slots__ = ("_nms", "_supi")
 

@@ -84,9 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--shard-size", type=int, default=4,
                         help="tasks per shard (default: 4)")
     submit.add_argument("--cohort-size", type=int, default=1,
-                        help="UEs per simulator instance; >1 packs one "
-                             "multi-UE cohort per shard (matrix sweeps "
-                             "only; default: 1)")
+                        help="tasks per cohort shard; >1 packs the "
+                             "plan into shards of this many tasks, each "
+                             "run alone on its own one-UE simulator "
+                             "(matrix sweeps only; default: 1)")
     submit.add_argument("--wait", action="store_true",
                         help="watch the job and exit with its outcome")
 

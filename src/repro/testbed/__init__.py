@@ -10,7 +10,6 @@ disruption is measured from failure onset to verified recovery.
 from repro.testbed.harness import (
     Cohort,
     CohortMember,
-    CohortResult,
     HandlingMode,
     RunResult,
     Testbed,
@@ -55,7 +54,6 @@ __all__ = [
     "CONTROL_PLANE_MIX",
     "Cohort",
     "CohortMember",
-    "CohortResult",
     "ConnectivityOracle",
     "DATA_DELIVERY_MIX",
     "DATA_PLANE_MIX",

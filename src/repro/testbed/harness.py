@@ -1,22 +1,14 @@
-"""The experiment harness: one UE host for single runs and cohorts.
+"""The experiment harness: one UE per simulator.
 
-A :class:`Cohort` hosts N heterogeneous UEs on **one** simulator and
-one core: per-UE device + UICC + applet state, per-UE RNG streams
-(``derive_seed(cohort_seed, ue_index)`` unless the member names its
-seed), shared AMF/SMF/UPF/failure-engine instances, and one
-:class:`DisruptionMeter` per UE. Every member is fully isolated —
-private RNG streams, config overlay, NMS gauges, learner, address
-block — so its result depends only on its own seed, scenario and
-handling mode. The run ends when all UEs have settled (quiescence) or
-every UE's horizon has elapsed.
-
-A :class:`Testbed` is a one-member cohort whose member draws from the
-testbed seed's own streams: one device + one core, optionally with
-SEED deployed (user mode or root mode), brought to steady state, then
-hit by a scenario whose disruption the connectivity oracle measures.
-``run_suite`` replays a scenario mix (drawn with the trace-study
-weights) across many independent runs, mirroring the paper's §7.1.1
-methodology of reproducing dataset failures on the testbed.
+A :class:`Testbed` is one device + one core, optionally with SEED
+deployed (user mode or root mode), brought to steady state, then hit
+by a scenario whose disruption the connectivity oracle measures. It is
+a facade over :class:`Cohort`, the one UE host, which holds exactly
+one member; a run ends when that UE has settled (quiescence) or its
+horizon has elapsed. ``run_suite`` replays a scenario mix (drawn with
+the trace-study weights) across many independent runs, mirroring the
+paper's §7.1.1 methodology of reproducing dataset failures on the
+testbed.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from repro.infra.core_network import CoreNetwork, ScopedCoreNetwork
 from repro.infra.failures import ActiveFailure, FailureClass, FailureSpec
 from repro.nas.timers import DEFAULT_TIMERS, StandardTimers
 from repro.sim_card.profile import SimProfile
-from repro.simkernel.rng import RngStreams, derive_seed
+from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 from repro.testbed.measurement import DisruptionMeter, Measurement
 from repro.testbed.scenarios import Scenario, ScenarioInstance, mix_for
@@ -94,11 +86,12 @@ class RunResult:
 class Testbed:
     """One device + one core, under a chosen handling mode.
 
-    A facade over a one-member :class:`Cohort` (``self.cohort``) whose
-    member draws from ``RngStreams(seed)``. Everything per-UE — state
-    (``sim``, ``core``, ``device``, ``deployment``, ``rng``, ``meter``)
-    and actions (``applet``, ``inject``, the triggers) — is the
-    member's :class:`UeSlot`, reached through attribute delegation.
+    A facade over a :class:`Cohort` (``self.cohort``) whose one member
+    draws from ``RngStreams(seed)``. Everything per-UE — state (``sim``,
+    ``core``, ``device``, ``deployment``, ``rng``, ``meter``) and
+    actions (``applet``, ``inject``, the triggers,
+    ``learning_records``) — is the member's :class:`UeSlot`, reached
+    through attribute delegation.
     """
 
     def __init__(
@@ -111,7 +104,7 @@ class Testbed:
         custom_actions: dict[int, ResetAction] | None = None,
         learning_rate: float = 0.05,
     ) -> None:
-        member = CohortMember(scenario=None, handling=handling, seed=seed,
+        member = CohortMember(scenario=None, handling=handling,
                               android_timers=android_timers)
         self.cohort = Cohort([member], seed=seed, timers=timers,
                              modem_latencies=modem_latencies,
@@ -134,15 +127,7 @@ class Testbed:
         self.warm_up()
         member = self._slot.member
         member.scenario, member.horizon = scenario, horizon
-        elided = self.cohort._run_members()
-        result = self._slot.result
-        result.meta["elided_events"] = elided
-        return result
-
-    def learning_records(self) -> dict[str, dict[str, int]]:
-        """Wire-form §5.3 learning state accumulated during this run
-        (see :meth:`Cohort.learning_records_for`)."""
-        return self.cohort.learning_records_for(self._slot)
+        return self.cohort._run_member()
 
 
 def pick_scenario(failure_class: FailureClass, seed: int) -> Scenario:
@@ -204,65 +189,39 @@ def coverage(results: list[RunResult]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Cohorts: N UEs per simulator instance
+# The UE host
 # ---------------------------------------------------------------------------
 @dataclass
 class CohortMember:
-    """Spec for one UE in a cohort (members are heterogeneous).
-
-    ``seed=None`` derives the member's seed from the cohort seed and
-    its index (``derive_seed(cohort_seed, index)``); pass an explicit
-    seed to twin a member with a specific single-UE run. A
-    :class:`Testbed`'s member names its ``scenario`` at run time.
-    """
+    """Spec for the UE a :class:`Cohort` hosts. A :class:`Testbed`'s
+    member names its ``scenario`` at run time."""
 
     scenario: Scenario | None
     handling: HandlingMode = HandlingMode.LEGACY
-    seed: int | None = None
     android_timers: AndroidTimers | None = None
     horizon: float | None = None
 
 
-@dataclass
-class CohortResult:
-    """Outcome of one cohort run: every member's result, in member
-    order, and the events quiescence elided."""
-
-    results: list[RunResult]
-    elided_events: int
-
-    @property
-    def cohort_size(self) -> int:
-        return len(self.results)
-
-
 class UeSlot:
-    """One UE's slice of a cohort, and the code that acts on it.
+    """The host's UE, and the code that acts on it.
 
-    Owns the member's device + UICC profile, its private seed-derived
-    :class:`RngStreams` (same stream names, hence same draw sequences,
-    as any other UE at the same seed), its disruption meter, and a
-    scoped view of the shared core that redirects the config-store and
-    NMS mutations scenario builders make to per-UE state. Scenario
-    builders receive the slot as their ``testbed``.
+    Owns the member's device + UICC profile, its seed's
+    :class:`RngStreams`, its disruption meter, and a scoped view of the
+    core that redirects the config-store and NMS mutations scenario
+    builders make to per-UE state. Scenario builders receive the slot
+    as their ``testbed``.
     """
 
-    def __init__(self, cohort: "Cohort", index: int, member: CohortMember) -> None:
+    def __init__(self, cohort: "Cohort", member: CohortMember) -> None:
         self.cohort = cohort
-        self.index = index
         self.member = member
         self.handling = member.handling
-        self.seed = (member.seed if member.seed is not None
-                     else derive_seed(cohort.seed, index))
+        self.seed = cohort.seed
         self.rng = RngStreams(self.seed)
         self.sim = cohort.sim
-        # UE 0's IMSI is the testbed subscriber; later members count up
-        # through the same MCC/MNC block. The SUPI value never reaches
-        # any record or draw.
-        profile = SimProfile(
-            imsi=f"00101{str(index + 1).zfill(10)}",
-            k=SUBSCRIBER_K, opc=SUBSCRIBER_OPC,
-        )
+        # The SUPI value never reaches any record or draw.
+        profile = SimProfile(imsi="001010000000001",
+                             k=SUBSCRIBER_K, opc=SUBSCRIBER_OPC)
         self.supi = f"imsi-{profile.imsi}"
         core = cohort.core
         core.provision_subscriber(
@@ -282,11 +241,10 @@ class UeSlot:
         self.meter: DisruptionMeter | None = None
         self.horizon: float | None = None
         self.end: float | None = None
-        self.result: RunResult | None = None
 
     @property
     def deployment(self) -> SeedDeployment | None:
-        return self.cohort.deployment if self.handling.uses_seed else None
+        return self.cohort.deployment
 
     @property
     def applet(self):
@@ -300,6 +258,26 @@ class UeSlot:
 
     def inject(self, spec: FailureSpec) -> ActiveFailure:
         return self.core.engine.inject(spec)
+
+    def learning_records(self) -> dict[str, dict[str, int]]:
+        """Wire-form §5.3 learning state accumulated during this run.
+
+        Combines the UE's learner (its crowdsourced ``NetRecord``) with
+        its applet's record-book entries still awaiting OTA upload, so
+        a fleet aggregator merging per-shard states loses nothing to
+        upload timing. Empty for legacy runs (no SEED).
+        """
+        from repro.core.online_learning import merge_records, serialize_records
+
+        wire: dict[str, dict[str, int]] = {}
+        deployment = self.deployment
+        if deployment is None:
+            return wire
+        merge_records(wire, deployment.plugin.learner_for(self.supi).export_records())
+        applet = deployment.applets.get(self.supi)
+        if applet is not None:
+            merge_records(wire, serialize_records(applet.recorder.records))
+        return wire
 
     # ------------------------------------------------------------------
     # Failure triggers (how a latent failure manifests, §7.1.1)
@@ -330,9 +308,7 @@ class UeSlot:
         """Materialize the member's scenario on this UE and start measuring.
 
         Builds the instance, arms the meter, fires the trigger, and
-        schedules any user action. No simulation time passes in here,
-        so members launched back-to-back each start from exactly the
-        state they would reach alone.
+        schedules any user action. No simulation time passes in here.
         """
         scenario = self.member.scenario
         instance = scenario.build(self)
@@ -381,19 +357,11 @@ class UeSlot:
 
 
 class Cohort:
-    """N heterogeneous UEs sharing one simulator and one core.
+    """The UE host: one simulator, one core and exactly one member UE.
 
-    All members warm up together, then each launches its scenario
-    (:meth:`UeSlot._launch`). Members are fully isolated — private RNG
-    streams, config overlay, NMS gauges, learner, address block — so
-    each member's :class:`RunResult` is byte-identical to a one-member
-    cohort's (a :class:`Testbed`'s) at the same seed.
-
-    The run ends when every member has either passed its horizon or
-    settled (quiescence); a member that reaches its own horizon while
-    others still run is frozen — result snapshotted, then silenced so
-    its post-horizon churn can neither perturb anything nor hold off
-    cohort quiescence.
+    :meth:`run` warms the member up, launches its scenario
+    (:meth:`UeSlot._launch`) and runs to quiescence or its horizon.
+    ``slots`` holds the member's :class:`UeSlot`.
     """
 
     def __init__(
@@ -405,184 +373,80 @@ class Cohort:
         custom_actions: dict[int, ResetAction] | None = None,
         learning_rate: float = 0.05,
     ) -> None:
-        if not members:
-            raise ValueError("a cohort needs at least one member")
+        if len(members) != 1:
+            raise ValueError(f"a cohort hosts exactly one member, got {len(members)}")
         self.seed = seed
         self.timers = timers
         self.modem_latencies = modem_latencies
         self.sim = Simulator(seed=seed)
         self.core = CoreNetwork(self.sim)
         self.deployment: SeedDeployment | None = None
-        #: Quiescence-scan cursor: the slot that vetoed settling last.
-        self._scan_from = 0
-        self.slots = [UeSlot(self, i, m) for i, m in enumerate(members)]
-        seed_devices = [s.device for s in self.slots if s.handling.uses_seed]
-        if seed_devices:
+        slot = UeSlot(self, members[0])
+        self.slots = [slot]
+        if slot.handling.uses_seed:
             self.deployment = deploy_seed(
-                self.core, seed_devices, stage="full",
+                self.core, [slot.device], stage="full",
                 custom_actions=custom_actions, learning_rate=learning_rate,
             )
-            for slot in self.slots:
-                if slot.handling.uses_seed:
-                    # SEED consumes the OS stall notification and drives
-                    # its own recovery; Android's ladder stands down (§6).
-                    slot.device.android.auto_recover = False
+            # SEED consumes the OS stall notification and drives its own
+            # recovery; Android's ladder stands down (§6).
+            slot.device.android.auto_recover = False
 
     # ------------------------------------------------------------------
-    def run(self) -> CohortResult:
-        """Warm up, launch every member, and run to quiescence."""
+    def run(self) -> RunResult:
+        """Warm up, launch the member, and run to quiescence."""
         self.warm_up()
-        elided = self._run_members()
-        return CohortResult(results=[slot.result for slot in self.slots],
-                            elided_events=elided)
+        return self._run_member()
 
     def warm_up(self) -> None:
-        """Boot every member to steady state (registered, session up)."""
-        for slot in self.slots:
-            slot.device.power_on()
+        """Boot the member to steady state (registered, session up)."""
+        device = self.slots[0].device
+        device.power_on()
         self.sim.run(until=self.sim.now + WARMUP)
-        for slot in self.slots:
-            if not slot.device.data_session_active():
-                raise RuntimeError(f"UE {slot.index} failed to reach steady state")
+        if not device.data_session_active():
+            raise RuntimeError("the UE failed to reach steady state")
 
-    def _run_members(self) -> int:
-        """Launch every member, run to quiescence or the last horizon,
-        and snapshot each member's result; returns the events elided.
+    def _run_member(self) -> RunResult:
+        """Launch the member, run to quiescence or its horizon, and
+        snapshot its result.
 
         Quiescence-aware termination: stop as soon as the heap holds
-        only maintenance churn and every unfrozen member's meter
-        confirms its model is settled. The kernel advances the clock to
-        the last horizon either way, and the engine records the ambient
-        clears the stop discarded, so every post-run read (censored
-        durations, open disruptions, failure state, battery
-        integration) sees identical state. REPRO_FULL_HORIZON=1 forces
-        the burn-the-horizon behavior (the parity tests' reference).
+        only maintenance churn and the member's meter confirms its
+        model is settled. The kernel advances the clock to the horizon
+        either way, and the engine records the ambient clears the stop
+        discarded, so every post-run read (censored durations, open
+        disruptions, failure state, battery integration) sees identical
+        state. REPRO_FULL_HORIZON=1 forces the burn-the-horizon behavior
+        (the parity tests' reference). ``meta["elided_events"]`` counts
+        the heap entries the stop discarded.
         """
         sim = self.sim
-        # Launch loop: no simulation time passes inside it, so each
-        # member's launch-time state is independent of launch order.
-        for slot in self.slots:
-            slot._launch()
-        cohort_end = max(slot.end for slot in self.slots)
-        for slot in self.slots:
-            if slot.end < cohort_end:
-                # Freeze just past this member's horizon: every event at
-                # exactly `end` fires first (matching the inclusive stop
-                # of run(until=end) for a member that ends last), then
-                # the result is snapshotted and the UE silenced.
-                # Maintenance, so a pending freeze never blocks cohort
-                # quiescence.
-                sim.schedule_at(
-                    math.nextafter(slot.end, math.inf), self._freeze, slot,
-                    maintenance=True, label="cohort:freeze",
-                )
+        slot = self.slots[0]
+        slot._launch()
+        end = slot.end
         stopped = sim.quiesced_at
         if os.environ.get("REPRO_FULL_HORIZON") == "1":
-            sim.run(until=cohort_end)
+            sim.run(until=end)
             elided = 0
         else:
-            elided = sim.run_quiescent(cohort_end, self._all_settled)
+            elided = sim.run_quiescent(end, slot.meter.settled)
         # Parked cadences read as the eager chain left them: at the
         # quiescent stop, or with every event up to the horizon fired.
         at = sim.quiesced_at
         if at is None or at == stopped:
-            at = math.nextafter(cohort_end, math.inf)
-        for slot in self.slots:
-            slot.device.freeze_parks(at)
-        self.core.engine.settle(cohort_end)
-        # Members whose freeze did not fire: those ending last (none
-        # scheduled) and, after a quiescent stop, everyone still pending
-        # (the heap was discarded). The clock is at cohort_end ≥ every
-        # horizon, so snapshotting now reads what a run ending at the
-        # member's own horizon would have; no need to silence.
-        for slot in self.slots:
-            self._freeze(slot, silence=False)
-        return elided
-
-    # ------------------------------------------------------------------
-    def _all_settled(self) -> bool:
-        """Cohort quiescence: every member frozen or settled.
-
-        The kernel evaluates this once per event while the heap is
-        maintenance-only, so the scan resumes at the slot that blocked
-        quiescence last time: while a straggler is still unsettled the
-        common case is one ``settled()`` check per event (O(1)), not a
-        full cohort sweep (O(N) checks per event, O(N²) per run — the
-        dominant cost at cohort sizes in the hundreds). The predicate's
-        value is unchanged: True still requires a full pass over every
-        slot at this instant.
-        """
-        slots = self.slots
-        count = len(slots)
-        start = self._scan_from
-        for step in range(count):
-            index = start + step
-            if index >= count:
-                index -= count
-            slot = slots[index]
-            if slot.result is None and not slot.meter.settled():
-                self._scan_from = index
-                return False
-        return True
-
-    def _freeze(self, slot: UeSlot, silence: bool = True) -> None:
-        """Snapshot a member's result at its horizon (idempotent).
-
-        Open app disruptions close at the member's own ``end``: the
-        freeze event fires just past ``end``, and the final snapshot
-        runs at ``cohort_end``.
-        """
-        if slot.result is not None:
-            return
+            at = math.nextafter(end, math.inf)
+        slot.device.freeze_parks(at)
+        self.core.engine.settle(end)
         for app in slot.device.apps.values():
-            app.close_open_disruption(slot.end)
+            app.close_open_disruption(end)
         slot.meter.disarm()
         scenario = slot.member.scenario
-        slot.result = RunResult(
+        return RunResult(
             scenario=scenario.name,
             handling=slot.handling,
             measurement=slot.meter.measurement,
             horizon=slot.horizon,
             timed=scenario.timed,
             notified_user=bool(slot.device.ui_notifications),
-            meta={"ue_index": slot.index, "seed": slot.seed, "supi": slot.supi},
+            meta={"elided_events": elided},
         )
-        if silence:
-            self._silence(slot)
-
-    def _silence(self, slot: UeSlot) -> None:
-        """Shut a finished member down. Its result is already
-        snapshotted; what remains would only generate events — legacy
-        retry ladders in particular churn substantively forever and
-        would hold off quiescence for the whole cohort."""
-        for app in slot.device.apps.values():
-            app.stop()
-        android = slot.device.android
-        android.auto_recover = False
-        if android._ladder_event is not None:
-            android._ladder_event.cancel()
-            android._ladder_event = None
-        modem = slot.device.modem
-        modem.auto_recover = False
-        modem._abort_all_procedures()
-
-    # ------------------------------------------------------------------
-    def learning_records_for(self, slot: UeSlot) -> dict[str, dict[str, int]]:
-        """Wire-form §5.3 learning state for one member.
-
-        Combines the member's learner (its crowdsourced ``NetRecord``)
-        with its applet's record-book entries still awaiting OTA
-        upload, so a fleet aggregator merging per-shard states loses
-        nothing to upload timing. Empty for legacy members (no SEED).
-        """
-        from repro.core.online_learning import merge_records, serialize_records
-
-        wire: dict[str, dict[str, int]] = {}
-        deployment = slot.deployment
-        if deployment is None:
-            return wire
-        merge_records(wire, deployment.plugin.learner_for(slot.supi).export_records())
-        applet = deployment.applets.get(slot.supi)
-        if applet is not None:
-            merge_records(wire, serialize_records(applet.recorder.records))
-        return wire

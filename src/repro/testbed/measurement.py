@@ -106,7 +106,6 @@ class Measurement:
 
     onset: float
     recovered_at: float | None = None
-    checks: int = 0
     meta: dict = field(default_factory=dict)
 
     @property
@@ -159,9 +158,10 @@ class DisruptionMeter:
         self._probe_target = ConnectivityTarget(port=device.prober.port)
         self._probe_tcp = ConnectivityTarget(needs_dns=False, port=device.prober.port)
         # Event wiring (idempotent per meter instance). Clears are
-        # filtered to this device's SUPI so cohort members don't wake
-        # each other's meters (single-UE runs see no difference: every
-        # failure there is unscoped or aimed at this device).
+        # filtered to this device's SUPI, so on a core shared by several
+        # devices another subscriber's clear does not wake this meter
+        # (a harness run sees no difference: every failure there is
+        # unscoped or aimed at its one device).
         device.modem.on_registered.append(self._on_event)
         device.modem.on_session_up.append(lambda psi, s: self._on_event())
         device.modem.on_session_modified.append(lambda psi, s: self._on_event())
@@ -227,7 +227,6 @@ class DisruptionMeter:
     def _check(self) -> None:
         if not self._armed or self.measurement is None:
             return
-        self.measurement.checks += 1
         if self.oracle.ok(self.target):
             now = self.sim.now
             self.measurement.recovered_at = now
@@ -235,8 +234,8 @@ class DisruptionMeter:
             self._armed = False
 
     def disarm(self) -> None:
-        """Stop measuring (cohort freeze at this UE's horizon): pending
-        heartbeats and checks become no-ops."""
+        """Stop measuring (the run's end): pending heartbeats and checks
+        become no-ops."""
         self._armed = False
 
     # ------------------------------------------------------------------

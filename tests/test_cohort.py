@@ -1,21 +1,22 @@
-"""Cohort testbeds: N UEs per simulator instance.
+"""The one UE host and cohort shards.
 
-The invariant under test: a cohort-of-N's per-UE results are
-**byte-identical** to N independent single-UE runs (one-member
-cohorts) at the same derived seeds — through the harness directly and
-through the fleet path (``cohort_size`` shards), at one worker and at
-four. Plus the quiescence invariant: a cohort run that stops at
-quiescence reports the same results as one burning the full horizon.
+A :class:`Cohort` hosts exactly one UE, so a cohort run is a
+``Testbed`` run. ``cohort_size`` only packs a matrix sweep's tasks into
+shards: each task still runs alone, so its record, learning and
+fired events are the same whatever its packing — through the worker
+directly and through the fleet path, at one worker and at four.
 """
 
-import os
+import json
 
 import pytest
 
+from repro.core.online_learning import merge_records
 from repro.fleet.planner import Shard, TaskSpec, plan_from_spec, plan_matrix
 from repro.fleet.runner import FleetRunner
+from repro.fleet.worker import run_cohort_tasks, run_shard_object, run_task
 from repro.infra.failures import FailureClass
-from repro.simkernel.rng import derive_seed
+from repro.testbed import harness
 from repro.testbed.harness import (
     Cohort,
     CohortMember,
@@ -24,7 +25,6 @@ from repro.testbed.harness import (
     pick_scenario,
     run_one,
 )
-from repro.testbed.scenarios import scenario_by_name
 
 COHORT_SEED = 424242
 
@@ -38,143 +38,86 @@ def parity_surface(result):
 
 
 def members_for(cohort_seed, n):
-    """n heterogeneous members cycling classes × handling modes."""
+    """n heterogeneous members cycling classes × handling modes, and
+    each one's single-run twin (scenario, handling, seed)."""
     classes = list(FailureClass)
     handlings = list(HandlingMode)
     members, twins = [], []
     for index in range(n):
         failure_class = classes[index % len(classes)]
         handling = handlings[(index // len(classes)) % len(handlings)]
-        seed = derive_seed(cohort_seed, index)
-        members.append(CohortMember(
-            scenario=pick_scenario(failure_class, seed), handling=handling))
-        twins.append((pick_scenario(failure_class, seed), handling, seed))
+        scenario = pick_scenario(failure_class, cohort_seed)
+        members.append(CohortMember(scenario=scenario, handling=handling))
+        twins.append((scenario, handling, cohort_seed))
     return members, twins
 
 
 class TestCohortParity:
-    @pytest.mark.parametrize("size", [1, 4, 16])
+    @pytest.mark.parametrize("size", [1])
     def test_byte_identical_to_single_runs(self, size):
         members, twins = members_for(COHORT_SEED, size)
-        outcome = Cohort(members, seed=COHORT_SEED).run()
-        assert outcome.cohort_size == size
-        for index, (scenario, handling, seed) in enumerate(twins):
-            single, _testbed = run_one(scenario, handling, seed)
-            assert parity_surface(outcome.results[index]) == \
-                parity_surface(single), f"UE {index} diverged"
-
-    def test_member_seed_derivation(self):
-        members, _ = members_for(COHORT_SEED, 2)
-        cohort = Cohort(members, seed=COHORT_SEED)
-        assert cohort.slots[0].seed == derive_seed(COHORT_SEED, 0)
-        assert cohort.slots[1].seed == derive_seed(COHORT_SEED, 1)
-        # An explicit member seed wins over derivation.
-        pinned = CohortMember(scenario=members[0].scenario, seed=99)
-        assert Cohort([pinned], seed=COHORT_SEED).slots[0].seed == 99
+        result = Cohort(members, seed=COHORT_SEED).run()
+        [(scenario, handling, seed)] = twins
+        single, _testbed = run_one(scenario, handling, seed)
+        assert parity_surface(result) == parity_surface(single)
+        assert result.meta == single.meta
 
     def test_ue0_is_the_single_testbed_subscriber(self):
         members, _ = members_for(COHORT_SEED, 1)
         cohort = Cohort(members, seed=COHORT_SEED)
         assert cohort.slots[0].supi == Testbed().device.supi
 
-    def test_shared_infrastructure(self):
-        members, _ = members_for(COHORT_SEED, 4)
-        cohort = Cohort(members, seed=COHORT_SEED)
-        # One simulator, one core: every slot shares them.
-        assert len({id(slot.sim) for slot in cohort.slots}) == 1
-        assert all(slot.device.modem.gnb is cohort.core.gnb
-                   for slot in cohort.slots)
-        # ... but private RNG streams and address blocks.
-        assert len({id(slot.rng) for slot in cohort.slots}) == 4
-        subnets = {cohort.core.smf._subnets[slot.supi] for slot in cohort.slots}
-        assert len(subnets) == 4
+    @pytest.mark.parametrize("size", [0, 2])
+    def test_a_cohort_hosts_exactly_one_member(self, size):
+        members, _ = members_for(COHORT_SEED, size)
+        with pytest.raises(ValueError, match="exactly one member"):
+            Cohort(members, seed=COHORT_SEED)
 
 
-class TestCohortQuiescence:
-    def test_full_horizon_parity(self, monkeypatch):
-        # All-SEED members recover and settle, so the quiesced run
-        # elides a real horizon tail — and must report identically.
-        members = [
-            CohortMember(scenario=pick_scenario(FailureClass.DATA_PLANE,
-                                                derive_seed(COHORT_SEED, i)),
-                         handling=HandlingMode.SEED_R)
-            for i in range(4)
-        ]
-        monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
-        quiesced = Cohort(members, seed=COHORT_SEED).run()
-        monkeypatch.setenv("REPRO_FULL_HORIZON", "1")
-        full = Cohort(members, seed=COHORT_SEED).run()
-        assert [parity_surface(r) for r in quiesced.results] == \
-            [parity_surface(r) for r in full.results]
-        assert quiesced.elided_events > 0
-        assert full.elided_events == 0
+@pytest.fixture
+def simulators(monkeypatch):
+    """Every simulator the harness builds while the test runs."""
+    built = []
 
-    def test_straggler_does_not_block_settled_members(self):
-        # A legacy user-action-only member censors at its horizon; the
-        # SEED members' results must be identical to their twins even
-        # though the cohort ran far past their own horizons.
-        scn_stuck = pick_scenario(FailureClass.DATA_PLANE,
-                                  derive_seed(COHORT_SEED, 0))
-        members = [
-            CohortMember(scenario=scn_stuck, handling=HandlingMode.LEGACY),
-            CohortMember(scenario=pick_scenario(FailureClass.CONTROL_PLANE,
-                                                derive_seed(COHORT_SEED, 1)),
-                         handling=HandlingMode.SEED_R),
-        ]
-        outcome = Cohort(members, seed=COHORT_SEED).run()
-        twin, _ = run_one(pick_scenario(FailureClass.CONTROL_PLANE,
-                                        derive_seed(COHORT_SEED, 1)),
-                          HandlingMode.SEED_R, derive_seed(COHORT_SEED, 1))
-        assert parity_surface(outcome.results[1]) == parity_surface(twin)
+    class Recorded(harness.Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(harness, "Simulator", Recorded)
+    return built
 
 
-def app_disruptions(device):
-    return {name: [(d.start, d.end) for d in app.disruptions]
-            for name, app in device.apps.items()}
+class TestPackingIndependence:
+    def test_cohort_shards_return_run_task_bytes(self):
+        plan = plan_from_spec({"kind": "matrix",
+                               "scenarios": ["dd_udp_block", "dp_outdated_dnn"],
+                               "modes": ["seed_u"], "replicas": 4,
+                               "cohort_size": 4, "seed": 2718})
+        assert [len(shard.tasks) for shard in plan.shards] == [4, 4]
+        for shard in plan.shards:
+            records, learning = run_cohort_tasks(shard.tasks)
+            alone = [run_task(task) for task in shard.tasks]
+            # elided_events included: each task reports its own count.
+            assert json.dumps(records, sort_keys=True) == \
+                json.dumps([record for record, _ in alone], sort_keys=True)
+            merged = {}
+            for _, wire in alone:
+                merge_records(merged, wire)
+            assert learning == merged
 
-
-def assert_members_match_twins(cells, horizons=None):
-    """Run ``cells`` as one cohort; each member's app disruption lists
-    must equal its dedicated twin's. Returns the cohort."""
-    horizons = horizons or [None] * len(cells)
-    members = [CohortMember(scenario=scenario_by_name(name),
-                            handling=handling,
-                            seed=derive_seed(COHORT_SEED, index),
-                            horizon=horizon)
-               for index, ((name, handling), horizon)
-               in enumerate(zip(cells, horizons))]
-    cohort = Cohort(members, seed=COHORT_SEED)
-    cohort.run()
-    for slot, (name, handling), horizon in zip(cohort.slots, cells, horizons):
-        _result, twin = run_one(scenario_by_name(name), handling, slot.seed,
-                                horizon=horizon)
-        assert app_disruptions(slot.device) == app_disruptions(twin.device), name
-    return cohort
-
-
-class TestCohortAppParity:
-    def test_members_match_twins_at_app_level(self):
-        # A horizon-censored member's open app disruptions close at its
-        # own end, whether its freeze fires (just past that end) or the
-        # cohort quiesces and snapshots everyone at the longest horizon.
-        cohort = assert_members_match_twins(
-            [("dd_udp_block", HandlingMode.LEGACY),
-             ("dp_outdated_dnn", HandlingMode.SEED_R),
-             ("dd_tcp_policy_block", HandlingMode.SEED_U)])
-        # The censored members really carry an open-at-horizon disruption.
-        censored = app_disruptions(cohort.slots[0].device)["edge_ar"]
-        assert censored[-1][1] == cohort.slots[0].end
-
-    def test_frozen_member_records_nothing_past_its_end(self):
-        # The first member's freeze fires while the second still runs
-        # its ladder; exchanges in flight at the freeze must not reopen
-        # a disruption after the snapshot.
-        cohort = assert_members_match_twins(
-            [("dd_udp_block", HandlingMode.LEGACY),
-             ("dd_tcp_policy_block", HandlingMode.LEGACY)],
-            horizons=[30.0, None])
-        quiesced_at = cohort.sim.quiesced_at
-        assert quiesced_at is None or cohort.slots[0].end < quiesced_at
+    def test_matrix_fires_as_many_events_as_its_tasks_alone(self, simulators):
+        plan = plan_from_spec({"kind": "matrix", "replicas": 4,
+                               "cohort_size": 4, "seed": 2718})
+        assert len(plan.shards) == 54
+        for shard in plan.shards:
+            run_shard_object(shard)
+        packed = sum(sim.fired_events for sim in simulators)
+        simulators.clear()
+        for task in plan.tasks:
+            run_task(task)
+        alone = sum(sim.fired_events for sim in simulators)
+        assert packed == alone == 29_031
 
 
 #: Small real sweep reused by the fleet parity tests (8 tasks).

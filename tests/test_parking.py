@@ -14,10 +14,13 @@ import dataclasses
 
 import pytest
 
+from repro.device import Device
 from repro.device.apps import App
+from repro.infra import CoreNetwork
 from repro.infra.failures import ClearTrigger, FailureClass, FailureMode, FailureSpec
+from repro.sim_card.profile import SimProfile
 from repro.simkernel.simulator import Simulator
-from repro.testbed.harness import Cohort, CohortMember, HandlingMode, Testbed, run_one
+from repro.testbed.harness import WARMUP, HandlingMode, Testbed, run_one
 from repro.testbed.scenarios import scenario_by_name
 from repro.transport.dns import DnsOutcome, DnsResult
 from repro.transport.packets import Protocol
@@ -28,6 +31,7 @@ from repro.transport.tcp import TcpConnection
 #: after the first success and reopen a 28 ms disruption.
 SEED = 4
 BLACK_HOLE = 20.0
+OPC = bytes.fromhex("cd63cb71954a9f4e48a5994e37a02baf")
 
 
 def black_hole(supi: str, duration: float = BLACK_HOLE) -> FailureSpec:
@@ -135,50 +139,61 @@ class TestParkedMatchesEager:
 
 class TestWakes:
     def _pair(self, supi_scoped=True):
-        members = [CohortMember(scenario=None), CohortMember(scenario=None)]
-        cohort = Cohort(members, seed=11)
-        cohort.warm_up()
-        sim, engine = cohort.sim, cohort.core.engine
-        apps = [slot.device.launch_app("edge_ar") for slot in cohort.slots]
+        """Two devices on one core, each with an edge AR app parked
+        under a black hole (one per SUPI, or one for everyone)."""
+        sim = Simulator(seed=11)
+        core = CoreNetwork(sim)
+        devices = []
+        for index in range(2):
+            imsi = f"0010100000000{index:02d}"
+            k = bytes([index + 1]) * 16
+            core.provision_subscriber(f"imsi-{imsi}", k, OPC)
+            devices.append(Device(sim, core.gnb, core.upf,
+                                  SimProfile(imsi=imsi, k=k, opc=OPC)))
+        for device in devices:
+            device.power_on()
+        sim.run(until=WARMUP)
+        apps = [device.launch_app("edge_ar") for device in devices]
         sim.run(until=sim.now + 1.0)
-        supis = [slot.supi for slot in cohort.slots] if supi_scoped else [""]
-        failures = [engine.inject(black_hole(supi, duration=600.0)) for supi in supis]
+        supis = [device.supi for device in devices] if supi_scoped else [""]
+        failures = [core.engine.inject(black_hole(supi, duration=600.0))
+                    for supi in supis]
         sim.run(until=sim.now + 1.0)
         assert all(app._parked is not None for app in apps)
-        return cohort, apps, failures
+        return core, devices, apps, failures
 
     def test_a_members_clear_wakes_only_that_member(self):
-        cohort, apps, failures = self._pair()
-        cohort.core.engine.note_session_reset(cohort.slots[0].supi)
+        core, devices, apps, failures = self._pair()
+        core.engine.note_session_reset(devices[0].supi)
         assert failures[0].cleared and not failures[1].cleared
         assert apps[0]._parked is None
         assert apps[1]._parked is not None
 
     def test_a_members_session_change_wakes_only_that_member(self):
-        cohort, apps, _failures = self._pair()
-        upf = cohort.core.upf
-        ctx = upf.remove_session(cohort.slots[1].supi, 1)
+        core, devices, apps, _failures = self._pair()
+        upf = core.upf
+        ctx = upf.remove_session(devices[1].supi, 1)
         assert apps[1]._parked is None
         assert apps[0]._parked is not None
         apps[1].udp.parking.wake()  # idempotent
-        cohort.sim.run(until=cohort.sim.now + 1.0)  # no route: stays eager
+        core.sim.run(until=core.sim.now + 1.0)  # no route: stays eager
         assert apps[1]._parked is None
         upf.add_session(ctx)
-        cohort.sim.run(until=cohort.sim.now + 1.0)  # dropped again: parks
+        core.sim.run(until=core.sim.now + 1.0)  # dropped again: parks
         assert apps[1]._parked is not None
 
     def test_a_session_replaced_in_place_wakes(self):
         """A new context on the same session id changes the address
         the UPF maps, with no removal before it."""
-        cohort, apps, _failures = self._pair()
-        upf = cohort.core.upf
-        supi = cohort.slots[0].supi
+        core, devices, apps, _failures = self._pair()
+        upf = core.upf
+        supi = devices[0].supi
         upf.add_session(dataclasses.replace(upf.sessions[supi][1],
                                             ip_address="10.255.0.7"))
         assert apps[0]._parked is None and apps[1]._parked is not None
 
     def test_an_address_change_wakes(self):
-        cohort, apps, _failures = self._pair()
+        _core, _devices, apps, _failures = self._pair()
         udp = apps[0].udp
         udp.device_ip = udp.device_ip
         assert apps[0]._parked is not None
@@ -186,8 +201,8 @@ class TestWakes:
         assert apps[0]._parked is None and apps[1]._parked is not None
 
     def test_an_unscoped_clear_wakes_every_member(self):
-        cohort, apps, failures = self._pair(supi_scoped=False)
-        cohort.core.engine.clear_all()
+        core, _devices, apps, failures = self._pair(supi_scoped=False)
+        core.engine.clear_all()
         assert failures[0].cleared
         assert all(app._parked is None for app in apps)
 

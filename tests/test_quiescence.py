@@ -472,7 +472,7 @@ class EagerHeartbeatMeter(DisruptionMeter):
 
 def observables(result, testbed):
     """Everything a run reports: the record fields, learning, app-level
-    reads and failure state (``checks`` and elision are audit data)."""
+    reads and failure state (elision is audit data)."""
     measurement = result.measurement
     return ((result.scenario, result.handling, measurement.onset,
              measurement.recovered_at, result.duration, result.recovered,
