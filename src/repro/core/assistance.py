@@ -204,32 +204,16 @@ class AssistanceTree:
         )
 
     # ------------------------------------------------------------------
-    def classify(
-        self,
-        event: FailureEvent,
-        config_lookup: Callable[[str], dict] | None = None,
-    ) -> Classification:
-        """Walk the tree; returns the decision with its path trace.
-
-        ``config_lookup`` temporarily overrides the tree's store lookup
-        for this event — the plugin binds it to the failing UE's scoped
-        config view so a shared tree serves every UE.
-        """
+    def classify(self, event: FailureEvent) -> Classification:
+        """Walk the tree; returns the decision with its path trace."""
         self._pending_path: list[str] = []
-        previous = self.config_lookup
-        if config_lookup is not None:
-            self.config_lookup = config_lookup
-        try:
-            node = self._nodes["root"]
-            while node.leaf is None:
-                self._pending_path.append(node.name)
-                branch = node.yes if node.predicate(event, self) else node.no
-                node = self._nodes[branch]
+        node = self._nodes["root"]
+        while node.leaf is None:
             self._pending_path.append(node.name)
-            result = node.leaf(event, self)
-        finally:
-            self.config_lookup = previous
-        return result
+            branch = node.yes if node.predicate(event, self) else node.no
+            node = self._nodes[branch]
+        self._pending_path.append(node.name)
+        return node.leaf(event, self)
 
     def _done(self, info: DiagnosisInfo, needs_online_learning: bool = False) -> Classification:
         path = tuple(self._pending_path)

@@ -96,19 +96,21 @@ class DiagnosisInfo:
     def decode(cls, raw: bytes) -> "DiagnosisInfo":
         if len(raw) < 7:
             raise CollaborationError("diagnosis info too short")
-        try:
-            kind = DiagnosisKind(raw[0])
-        except ValueError as exc:
-            raise CollaborationError(str(exc)) from exc
         plane = Plane.CONTROL if raw[1] == 0 else Plane.DATA
         cause = raw[2]
         customized = bool(raw[3] & 0x01)
-        action = ResetAction(raw[4]) if raw[4] else None
         backoff = raw[5] / 10.0
         config_len = raw[6]
         if len(raw) < 7 + config_len:
             raise CollaborationError("diagnosis config truncated")
-        config = json.loads(raw[7 : 7 + config_len]) if config_len else {}
+        try:
+            kind = DiagnosisKind(raw[0])
+            action = ResetAction(raw[4]) if raw[4] else None
+            config = json.loads(raw[7 : 7 + config_len]) if config_len else {}
+        except ValueError as exc:  # an unknown enum byte, bad UTF-8 or JSON
+            raise CollaborationError(str(exc)) from exc
+        if not isinstance(config, dict):
+            raise CollaborationError(f"diagnosis config is not an object: {config!r}")
         return cls(
             kind=kind,
             plane=plane,

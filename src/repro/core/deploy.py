@@ -95,8 +95,7 @@ def _make_ota_flush(device: Device, applet: SeedApplet, plugin: SeedCorePlugin):
         # Serialise/deserialise across the OTA boundary so nothing
         # object-shaped sneaks through the channel.
         wire = json.dumps(serialize_records(records), sort_keys=True)
-        plugin.receive_sim_records(
-            deserialize_records(json.loads(wire)), supi=device.supi)
+        plugin.receive_sim_records(deserialize_records(json.loads(wire)))
         return True
 
     def flush() -> bool:

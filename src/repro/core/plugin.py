@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.assistance import AssistanceTree, Classification, FailureEvent
+from repro.core.assistance import AssistanceTree, FailureEvent
 from repro.core.collaboration import DiagnosisInfo, DiagnosisKind, DownlinkSender, UplinkReceiver
 from repro.core.online_learning import InfraLearner
 from repro.core.report import FailureReport, FailureType
@@ -63,23 +63,18 @@ class SeedCorePlugin:
             config_lookup=core.config_store.suggestion_for,
             custom_actions=custom_actions,
         )
-        self.learning_rate = learning_rate
+        #: The operator's learner: it crowdsources every served SUPI's
+        #: records and gates suggestions for all of them.
         self.learner = InfraLearner(
             learning_rate=learning_rate,
             rand=lambda: self.sim.rng.random("seed.learning"),
         )
-        # Isolated UEs (every harness UE) get a private learner each,
-        # drawing from the UE's own "seed.learning" stream; the shared
-        # learner above serves cores built directly, as in unit tests.
-        self._learners: dict[str, InfraLearner] = {}
         # SUPIs this deployment serves; None = serve everyone (a plugin
         # built without deploy_seed, as in unit tests).
         self._enrolled: set[str] | None = None
         self._downlinks: dict[str, _DownlinkState] = {}
         self._uplinks: dict[str, UplinkReceiver] = {}
-        self.classifications: list[tuple[float, str, Classification]] = []
         self.reports_handled: list[tuple[float, str, FailureReport]] = []
-        self.diag_messages_sent = 0
         # Attach to the core.
         core.amf.reject_hook = self._on_reject
         core.smf.reject_hook = self._on_reject
@@ -101,30 +96,6 @@ class SeedCorePlugin:
 
     def serves(self, supi: str) -> bool:
         return self._enrolled is None or supi in self._enrolled
-
-    def learner_for(self, supi: str) -> InfraLearner:
-        """The learner owning this SUPI's crowdsourced records: a
-        private one for isolated UEs, else the shared one."""
-        learner = self._learners.get(supi)
-        if learner is None:
-            rng = self.core.ue_rng.get(supi)
-            if rng is None:
-                return self.learner
-            learner = InfraLearner(
-                learning_rate=self.learning_rate,
-                rand=lambda: rng.random("seed.learning"),
-            )
-            self._learners[supi] = learner
-        return learner
-
-    def adopt_learner(self, supi: str, learner: InfraLearner) -> None:
-        """Make ``learner`` own this SUPI's records from now on: an
-        operator learner that outlives one testbed (§7.2.4)."""
-        self._learners[supi] = learner
-
-    def _scoped(self, supi: str) -> str:
-        """The supi to scope store/NMS calls by ('' = global view)."""
-        return supi if supi in self.core.ue_rng else ""
 
     def _downlink_for(self, supi: str) -> _DownlinkState:
         state = self._downlinks.get(supi)
@@ -163,15 +134,14 @@ class SeedCorePlugin:
     def _on_reject(self, supi: str, plane: Plane, cause: int, context: dict) -> None:
         if not self.serves(supi):
             return
-        scoped = self._scoped(supi)
-        congested = self.core.nms.congested(scoped)
+        nms = self.core.nms
         event = FailureEvent(
             supi=supi,
             origin="active",
             plane=plane,
             cause=cause,
-            congested=congested,
-            backoff_seconds=self.core.nms.suggested_backoff(scoped),
+            congested=nms.congested(),
+            backoff_seconds=nms.suggested_backoff(),
         )
         self._classify_and_send(supi, event)
 
@@ -192,14 +162,7 @@ class SeedCorePlugin:
         self._classify_and_send(supi, event)
 
     def _classify_and_send(self, supi: str, event: FailureEvent) -> None:
-        scoped = self._scoped(supi)
-        if scoped:
-            store = self.core.config_store
-            classification = self.tree.classify(
-                event, config_lookup=lambda kind: store.suggestion_for(kind, scoped))
-        else:
-            classification = self.tree.classify(event)
-        self.classifications.append((self.sim.now, supi, classification))
+        classification = self.tree.classify(event)
         self.core.cpu.note_seed_diagnosis()
         info = classification.info
         if not self.push_config and info.kind is DiagnosisKind.CAUSE_WITH_CONFIG:
@@ -208,7 +171,7 @@ class SeedCorePlugin:
         if classification.needs_online_learning and event.cause is not None:
             # Algorithm 1 lines 11–17: maybe attach a crowdsourced
             # suggestion; otherwise the SIM runs the trial ladder.
-            suggestion = self.learner_for(supi).suggest(event.cause)
+            suggestion = self.learner.suggest(event.cause)
             if suggestion is not None:
                 info = DiagnosisInfo(
                     kind=DiagnosisKind.SUGGESTED_ACTION,
@@ -237,7 +200,6 @@ class SeedCorePlugin:
             return
         frame = state.queue[0]
         state.awaiting_ack = True
-        self.diag_messages_sent += 1
         self.core.amf.send_auth_request(supi, ies.DFLAG_RAND, frame)
         state.retransmit_event = self.sim.schedule(
             FRAGMENT_ACK_TIMEOUT, self._retransmit, supi, label="seedplugin:dl-rtx"
@@ -295,7 +257,7 @@ class SeedCorePlugin:
         if report.failure_type is FailureType.DNS:
             # Carrier LDNS failure: fail over to a backup resolver and
             # push it to the device's session (B3 modification).
-            new_dns = config_store.rotate_dns(self._scoped(supi))
+            new_dns = config_store.rotate_dns()
             for ctx in self.core.upf.active_sessions(supi):
                 self.core.smf.modify_session(supi, ctx.pdu_session_id, new_dns_server=new_dns)
             engine.note_policy_fix(supi, protocol="dns")
@@ -320,8 +282,6 @@ class SeedCorePlugin:
     # ------------------------------------------------------------------
     # Online-learning orchestrator endpoint
     # ------------------------------------------------------------------
-    def receive_sim_records(
-        self, records: dict[int, dict[ResetAction, int]], supi: str = ""
-    ) -> None:
+    def receive_sim_records(self, records: dict[int, dict[ResetAction, int]]) -> None:
         """SIM record upload (Algorithm 1 lines 8–10) via OTA."""
-        self.learner_for(supi).crowdsource(records)
+        self.learner.crowdsource(records)

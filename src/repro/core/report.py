@@ -90,7 +90,10 @@ class FailureReport:
         length = raw[2]
         if len(raw) < 3 + length:
             raise ReportError("report address truncated")
-        address = raw[3 : 3 + length].decode("utf-8")
+        try:
+            address = raw[3 : 3 + length].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ReportError(f"report address is not UTF-8: {exc}") from exc
         return cls(failure_type, direction, address)
 
     @classmethod

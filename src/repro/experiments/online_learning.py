@@ -86,8 +86,8 @@ def run(failures_per_cause: int = 50, devices: int = 6, seed: int = 900,
             run_index += 1
             # The learner persists across devices/events (it lives in
             # the operator's core, not the testbed instance).
-            tb.deployment.plugin.adopt_learner(tb.device.supi, shared)
-            shared._rand = lambda: tb.rng.random("seed.learning")
+            tb.deployment.plugin.learner = shared
+            shared._rand = lambda: tb.sim.rng.random("seed.learning")
             tb.warm_up()
             onset = tb.sim.now
             _inject_custom(tb, cause)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.infra.config_store import ConfigStore
 from repro.infra.failures import FailureClass, FailureEngine, FailureMode
 from repro.infra.gnb import Gnb
 from repro.infra.nms import Nms
@@ -53,7 +52,6 @@ class Amf:
         sim,
         gnb: Gnb,
         subscriber_db: SubscriberDb,
-        config_store: ConfigStore,
         engine: FailureEngine,
         nms: Nms,
         cpu: CpuModel,
@@ -61,7 +59,6 @@ class Amf:
         self.sim = sim
         self.gnb = gnb
         self.subscriber_db = subscriber_db
-        self.config_store = config_store
         self.engine = engine
         self.nms = nms
         self.cpu = cpu
@@ -80,9 +77,6 @@ class Amf:
         # lower-layer (RLC) retransmissions that recover fast transients
         # without waiting for the NAS retry timer.
         self._parked: list[tuple[str, NasMessage]] = []
-        #: supi -> per-UE RngStreams (``CoreNetwork.ue_rng``); other
-        #: SUPIs draw RAND from sim.rng.
-        self.ue_rng: dict = {}
         self.engine.on_clear.append(self._on_failure_cleared)
 
     # ------------------------------------------------------------------
@@ -109,7 +103,7 @@ class Amf:
     # ------------------------------------------------------------------
     def _process_registration(self, supi: str, msg: RegistrationRequest) -> None:
         self.cpu.note_procedure()
-        self.nms.note_core_event(supi=supi)
+        self.nms.note_core_event()
         self.engine.note_retry(supi, FailureClass.CONTROL_PLANE)
         if msg.guti is None:
             self.engine.note_fresh_identity(supi)
@@ -158,7 +152,7 @@ class Amf:
 
         # Mutual authentication (Milenage AKA).
         mil = record.milenage()
-        rand_bits = self.ue_rng.get(supi, self.sim.rng).stream("amf.rand").getrandbits
+        rand_bits = self.sim.rng.stream("amf.rand").getrandbits
         rand = bytes(rand_bits(8) for _ in range(16))
         if ies.is_dflag(rand):  # astronomically unlikely; reserved value
             rand = b"\x00" * 15 + b"\x01"

@@ -10,7 +10,7 @@ device's cached values and this store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -58,19 +58,14 @@ class UserPolicy:
 class ConfigStore:
     """Holds the current network configuration plus per-user policies.
 
-    Every harness UE gets a **copy-on-write overlay** of the global
-    :class:`NetworkConfig`: scenario mutations scoped to one SUPI land
-    on that UE's overlay and are invisible to every other UE on the
-    same core. Reads resolve overlay first (:meth:`config_for`); the
-    unscoped path (no ``supi``; cores built directly, as in unit
-    tests) mutates the global config.
+    One store per core: scenario builders and SEED's recovery actions
+    mutate :attr:`config` in place, and the SMF and the SEED plugin
+    read it when they act.
     """
 
     def __init__(self, config: NetworkConfig | None = None) -> None:
         self.config = config or NetworkConfig()
         self.user_policies: dict[str, UserPolicy] = {}
-        self.revision = 0
-        self._overlays: dict[str, NetworkConfig] = {}
 
     def policy_for(self, supi: str) -> UserPolicy:
         policy = self.user_policies.get(supi)
@@ -79,45 +74,18 @@ class ConfigStore:
             self.user_policies[supi] = policy
         return policy
 
-    # -- per-UE overlays (per-UE isolation) ---------------------------
-    def config_for(self, supi: str = "") -> NetworkConfig:
-        """The config a subscriber sees: their overlay, else the global."""
-        if supi and self._overlays:
-            overlay = self._overlays.get(supi)
-            if overlay is not None:
-                return overlay
-        return self.config
-
-    def overlay_for(self, supi: str) -> NetworkConfig:
-        """The subscriber's private overlay, forked from the global
-        config on first touch (copy-on-write)."""
-        overlay = self._overlays.get(supi)
-        if overlay is None:
-            overlay = replace(self.config)
-            self._overlays[supi] = overlay
-        return overlay
-
-    def scoped(self, supi: str) -> "ScopedConfigStore":
-        return ScopedConfigStore(self, supi)
-
-    def _target(self, supi: str) -> NetworkConfig:
-        return self.overlay_for(supi) if supi else self.config
-
     # -- mutation (operations staff / SEED recovery actions) -----------
-    def set_required_dnn(self, dnn: str, supi: str = "") -> None:
+    def set_required_dnn(self, dnn: str) -> None:
         """Roll the allowed DNN set (the classic outdated-APN scenario)."""
-        config = self._target(supi)
-        config.allowed_dnns = (dnn,)
-        config.default_dnn = dnn
-        self.revision += 1
+        self.config.allowed_dnns = (dnn,)
+        self.config.default_dnn = dnn
 
-    def rotate_dns(self, supi: str = "") -> str:
+    def rotate_dns(self) -> str:
         """Fail over to the next DNS server in the pool."""
-        config = self._target(supi)
+        config = self.config
         config.active_dns_index = (
             config.active_dns_index + 1
         ) % len(config.dns_servers)
-        self.revision += 1
         return config.active_dns
 
     def clear_block(self, supi: str, protocol: str) -> bool:
@@ -125,15 +93,12 @@ class ConfigStore:
         policy = self.policy_for(supi)
         before = len(policy.blocked)
         policy.blocked = {entry for entry in policy.blocked if entry[0] != protocol}
-        if len(policy.blocked) != before:
-            self.revision += 1
-            return True
-        return False
+        return len(policy.blocked) != before
 
     # -- suggested-config lookup for SEED (paper Appendix A) -----------
-    def suggestion_for(self, config_kind: str, supi: str = "") -> dict:
+    def suggestion_for(self, config_kind: str) -> dict:
         """Return the up-to-date value for a config kind name."""
-        c = self.config_for(supi)
+        c = self.config
         table = {
             "supported_rat": {"supported_rats": list(c.supported_rats)},
             "plmn_list": {"plmn": c.plmn},
@@ -151,45 +116,3 @@ class ConfigStore:
         }
         return table.get(config_kind, {})
 
-
-class ScopedConfigStore:
-    """A per-UE facade over a shared :class:`ConfigStore`.
-
-    Quacks like the store for everything scenario builders and the SEED
-    plugin touch, but ``.config`` resolves to the UE's copy-on-write
-    overlay and the mutators bind the UE's SUPI — so a harness UE's
-    scenario setup mutates only its own view of the network.
-    """
-
-    __slots__ = ("_store", "_supi")
-
-    def __init__(self, store: ConfigStore, supi: str) -> None:
-        self._store = store
-        self._supi = supi
-
-    @property
-    def config(self) -> NetworkConfig:
-        return self._store.overlay_for(self._supi)
-
-    @property
-    def user_policies(self) -> dict[str, UserPolicy]:
-        return self._store.user_policies
-
-    @property
-    def revision(self) -> int:
-        return self._store.revision
-
-    def policy_for(self, supi: str) -> UserPolicy:
-        return self._store.policy_for(supi)
-
-    def set_required_dnn(self, dnn: str) -> None:
-        self._store.set_required_dnn(dnn, self._supi)
-
-    def rotate_dns(self) -> str:
-        return self._store.rotate_dns(self._supi)
-
-    def clear_block(self, supi: str, protocol: str) -> bool:
-        return self._store.clear_block(supi, protocol)
-
-    def suggestion_for(self, config_kind: str) -> dict:
-        return self._store.suggestion_for(config_kind, self._supi)

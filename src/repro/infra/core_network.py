@@ -12,24 +12,22 @@ from repro.infra.config_store import ConfigStore, NetworkConfig
 from repro.infra.cpu import CpuModel
 from repro.infra.failures import FailureEngine
 from repro.infra.gnb import Gnb, RadioLink
-from repro.infra.nms import Nms, ScopedNms
+from repro.infra.nms import Nms
 from repro.infra.smf import Smf
 from repro.infra.subscriber_db import SubscriberDb
 from repro.infra.upf import Upf
 from repro.nas.messages import NasMessage
-from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 
 
 class CoreNetwork:
     """The network side of the testbed.
 
-    Per-UE isolation: :meth:`isolate_ue` registers a UE's own
-    :class:`RngStreams` (shared by reference with the gNB/UPF/AMF, which
-    draw from ``ue_rng.get(supi, sim.rng)``), its own address block and
-    its own NMS gauges. Every harness UE is isolated, so its interaction
-    with the core depends only on its own seed; unregistered SUPIs
-    (cores built directly, as in unit tests) draw from ``sim.rng``.
+    One core serves every device attached to it: the gNB, UPF and AMF
+    draw from ``sim.rng``, the SMF hands out addresses from one pool,
+    and scenario builders mutate the one :class:`ConfigStore` and
+    :class:`Nms`. A harness run attaches exactly one device, as the
+    paper's testbed does; cores built directly may attach several.
     """
 
     def __init__(
@@ -44,31 +42,18 @@ class CoreNetwork:
         self.engine = FailureEngine(sim)
         self.nms = Nms(sim)
         self.cpu = CpuModel()
-        #: supi -> per-UE RngStreams; shared by reference with gnb/upf/amf.
-        self.ue_rng: dict[str, RngStreams] = {}
         self.gnb = Gnb(sim, radio_link)
         self.upf = Upf(sim, self.engine, self.config_store)
         self.amf = Amf(
-            sim, self.gnb, self.subscriber_db, self.config_store,
-            self.engine, self.nms, self.cpu,
+            sim, self.gnb, self.subscriber_db, self.engine, self.nms, self.cpu,
         )
         self.smf = Smf(
             sim, self.gnb, self.subscriber_db, self.config_store,
             self.engine, self.upf, self.nms, self.cpu,
         )
-        self.gnb.ue_rng = self.ue_rng
-        self.upf.ue_rng = self.ue_rng
-        self.amf.ue_rng = self.ue_rng
         self.gnb.attach_core(self._route_uplink)
         self.amf.cleanup_hook = self.purge_sessions
         self.seed_plugin = None  # set by repro.core.plugin when deployed
-
-    def isolate_ue(self, supi: str, rng: RngStreams) -> None:
-        """Register a UE's private RNG streams, address block and NMS
-        gauges, so nothing shared couples it to its neighbours."""
-        self.ue_rng[supi] = rng
-        self.smf.assign_subnet(supi)
-        self.nms.isolate(supi)
 
     def purge_sessions(self, supi: str) -> None:
         """Release all user-plane state for a (re)registering UE."""
@@ -83,7 +68,7 @@ class CoreNetwork:
             self.engine.note_session_reset(supi)
 
     def _route_uplink(self, supi: str, message: NasMessage) -> None:
-        self.nms.note_ran_event(supi=supi)
+        self.nms.note_ran_event()
         if message.is_session_management:
             self.smf.handle(supi, message)
         else:
@@ -103,22 +88,3 @@ class CoreNetwork:
         default (SEED provisions it alongside the applet, §4.4.1)."""
         return self.subscriber_db.provision(supi, k, opc, subscribed_dnns)
 
-
-class ScopedCoreNetwork:
-    """A per-UE view of a shared core (every harness UE's ``core``).
-
-    Scenario builders mutate ``core.config_store`` / ``core.nms``; this
-    facade rebinds exactly those two to the UE's scoped views and
-    delegates everything else (AMF, SMF, UPF, engine, subscriber DB,
-    ...) to the real core. Hot paths bind what they need once (the
-    connectivity oracle and the meter hold the real UPF).
-    """
-
-    def __init__(self, core: CoreNetwork, supi: str) -> None:
-        self._core = core
-        self.scoped_supi = supi
-        self.config_store = core.config_store.scoped(supi)
-        self.nms = ScopedNms(core.nms, supi)
-
-    def __getattr__(self, name: str):
-        return getattr(self._core, name)

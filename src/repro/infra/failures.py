@@ -96,56 +96,29 @@ class ActiveFailure:
     retry_seen: bool = False
     clear_event: object = None  # pending AFTER_DURATION timer, if any
 
-    def applies_to(self, supi: str) -> bool:
-        return not self.cleared and (not self.spec.supi or self.spec.supi == supi)
-
 
 class FailureEngine:
     """Owns active failures and evaluates clear triggers."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
+        #: Uncleared failures in injection order. A failure applies to
+        #: ``supi`` when ``spec.supi in ("", supi)``: unscoped ones
+        #: apply to every device.
         self.active: list[ActiveFailure] = []
         self.history: list[ActiveFailure] = []
-        # Observers notified on every clear (the measurement harness
-        # uses this to re-check connectivity without polling).
+        # Observers notified on every clear, in registration order (the
+        # UPF, AMF and SMF, then the measurement harness, which uses
+        # this to re-check connectivity without polling).
         self.on_clear: list = []
-        # Per-subscriber indexes. ``active`` stays the canonical
-        # ordered list; these buckets exist so the per-procedure
-        # queries and per-clear notifications of N UEs on one core stay
-        # O(own rules), not O(all N UEs' rules). Key "" holds unscoped
-        # rules (``spec.supi == ""`` applies to everyone).
-        self._active_by_supi: dict[str, list[ActiveFailure]] = {}
-        self._observers_by_supi: dict[str, list] = {}
 
-    def on_clear_for(self, supi: str, callback) -> None:
-        """Register a clear observer filtered to one subscriber.
-
-        Unscoped failures (``spec.supi == ""``) notify everyone; scoped
-        failures notify only their subscriber. This keeps UEs on one
-        core from waking each other's meters on every clear.
-        """
-        self._observers_by_supi.setdefault(supi, []).append(callback)
-
-    def scoped_active(self, supi: str):
-        """Active failures that can apply to ``supi``, injection order.
-
-        The union of unscoped rules and the subscriber's own bucket,
-        merged by ``failure_id`` (monotonic with injection) so callers
-        observe exactly the order a full ``active`` scan would.
-        """
-        own = self._active_by_supi.get(supi)
-        unscoped = self._active_by_supi.get("")
-        if not unscoped:
-            return own or ()
-        if not own:
-            return unscoped
-        return sorted(own + unscoped, key=lambda f: f.failure_id)
+    def scoped_active(self, supi: str) -> list[ActiveFailure]:
+        """Active failures that apply to ``supi``, in injection order."""
+        return [f for f in self.active if f.spec.supi in ("", supi)]
 
     def inject(self, spec: FailureSpec) -> ActiveFailure:
         failure = ActiveFailure(spec=spec, injected_at=self.sim.now)
         self.active.append(failure)
-        self._active_by_supi.setdefault(spec.supi, []).append(failure)
         self.history.append(failure)
         if ClearTrigger.AFTER_DURATION in spec.clear_triggers and spec.duration > 0:
             label = f"failure:{failure.failure_id}:ambient-clear"
@@ -172,13 +145,6 @@ class FailureEngine:
         self._retire(failure, trigger, self.sim.now)
         for observer in self.on_clear:
             observer(failure)
-        if failure.spec.supi:
-            for observer in self._observers_by_supi.get(failure.spec.supi, ()):
-                observer(failure)
-        else:
-            for observers in self._observers_by_supi.values():
-                for observer in observers:
-                    observer(failure)
 
     def _retire(self, failure: ActiveFailure, trigger: ClearTrigger, at: float) -> None:
         """A clear's own bookkeeping, without notifying observers."""
@@ -192,9 +158,6 @@ class FailureEngine:
         failure.cleared_by = trigger
         if failure in self.active:
             self.active.remove(failure)
-        bucket = self._active_by_supi.get(failure.spec.supi)
-        if bucket is not None and failure in bucket:
-            bucket.remove(failure)
 
     def settle(self, until: float) -> None:
         """Record the ambient clears a quiescent stop discarded.
@@ -218,8 +181,8 @@ class FailureEngine:
     ) -> list[ActiveFailure]:
         return [
             f
-            for f in self.scoped_active(supi)
-            if not f.cleared
+            for f in self.active
+            if f.spec.supi in ("", supi)
             and f.spec.failure_class is failure_class
             and (mode is None or f.spec.mode is mode)
         ]
@@ -227,8 +190,8 @@ class FailureEngine:
     def blocking_rules(self, supi: str) -> list[ActiveFailure]:
         return [
             f
-            for f in self.scoped_active(supi)
-            if not f.cleared
+            for f in self.active
+            if f.spec.supi in ("", supi)
             and f.spec.mode in (FailureMode.BLOCK, FailureMode.DNS_OUTAGE)
         ]
 
@@ -241,7 +204,7 @@ class FailureEngine:
         The *first* attempt that hits a failure sets ``retry_seen``;
         the next attempt clears it — modelling "recovered on retry".
         """
-        for failure in list(self.matching(supi, failure_class)):
+        for failure in self.matching(supi, failure_class):
             if ClearTrigger.ON_RETRY in failure.spec.clear_triggers:
                 if failure.retry_seen:
                     self._clear(failure, ClearTrigger.ON_RETRY)
@@ -249,13 +212,13 @@ class FailureEngine:
                     failure.retry_seen = True
 
     def note_fresh_identity(self, supi: str) -> None:
-        for failure in list(self.matching(supi, FailureClass.CONTROL_PLANE)):
+        for failure in self.matching(supi, FailureClass.CONTROL_PLANE):
             if ClearTrigger.ON_FRESH_IDENTITY in failure.spec.clear_triggers:
                 self._clear(failure, ClearTrigger.ON_FRESH_IDENTITY)
 
     def note_config_presented(self, supi: str, values: dict) -> None:
         """The device presented configuration ``values`` (field→value)."""
-        for failure in list(self.scoped_active(supi)):
+        for failure in self.scoped_active(supi):
             if failure.cleared:
                 continue
             if ClearTrigger.ON_CONFIG_MATCH not in failure.spec.clear_triggers:
@@ -265,12 +228,12 @@ class FailureEngine:
                 self._clear(failure, ClearTrigger.ON_CONFIG_MATCH)
 
     def note_session_reset(self, supi: str) -> None:
-        for failure in list(self.scoped_active(supi)):
+        for failure in self.scoped_active(supi):
             if not failure.cleared and ClearTrigger.ON_SESSION_RESET in failure.spec.clear_triggers:
                 self._clear(failure, ClearTrigger.ON_SESSION_RESET)
 
     def note_policy_fix(self, supi: str, protocol: str = "") -> None:
-        for failure in list(self.scoped_active(supi)):
+        for failure in self.scoped_active(supi):
             if failure.cleared:
                 continue
             if ClearTrigger.ON_POLICY_FIX not in failure.spec.clear_triggers:
@@ -280,7 +243,7 @@ class FailureEngine:
             self._clear(failure, ClearTrigger.ON_POLICY_FIX)
 
     def note_user_action(self, supi: str) -> None:
-        for failure in list(self.scoped_active(supi)):
+        for failure in self.scoped_active(supi):
             if not failure.cleared and ClearTrigger.ON_USER_ACTION in failure.spec.clear_triggers:
                 self._clear(failure, ClearTrigger.ON_USER_ACTION)
 

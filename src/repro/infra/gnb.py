@@ -46,12 +46,7 @@ class Gnb:
         self._device_handlers: dict[str, Callable[[NasMessage], None]] = {}
         self._rrc_release_handlers: dict[str, Callable[[], None]] = {}
         self._bearers: dict[str, int] = {}
-        self.uplink_messages = 0
-        self.downlink_messages = 0
         self.radio_up = True
-        #: supi -> per-UE RngStreams (``CoreNetwork.ue_rng``); other
-        #: SUPIs draw from sim.rng.
-        self.ue_rng: dict[str, RngStreams] = {}
 
     # ------------------------------------------------------------------
     # Wiring
@@ -77,8 +72,7 @@ class Gnb:
             raise RuntimeError("gNB has no core attached")
         if not self.radio_up:
             return  # radio access broken: out of SEED's scope (§4.5)
-        self.uplink_messages += 1
-        delay = self.link.sample(self.ue_rng.get(supi, self.sim.rng), "gnb.uplink")
+        delay = self.link.sample(self.sim.rng, "gnb.uplink")
         self.sim.schedule(delay, self._core_handler, supi, message, label="gnb:uplink")
 
     def downlink(self, supi: str, message: NasMessage) -> None:
@@ -86,8 +80,7 @@ class Gnb:
         handler = self._device_handlers.get(supi)
         if handler is None or not self.radio_up:
             return
-        self.downlink_messages += 1
-        delay = self.link.sample(self.ue_rng.get(supi, self.sim.rng), "gnb.downlink")
+        delay = self.link.sample(self.sim.rng, "gnb.downlink")
         self.sim.schedule(delay, handler, message, label="gnb:downlink")
 
     # ------------------------------------------------------------------

@@ -74,12 +74,6 @@ class Smf:
         self.nms = nms
         self.cpu = cpu
         self._ip_counter = itertools.count(2)
-        # Isolated UEs get a private /24 each (assign_subnet), so UE
-        # address pools can never collide in upf.session_for_ip no
-        # matter how many sessions each recycles. IP values never reach
-        # run records, so this is parity-neutral.
-        self._subnets: dict[str, str] = {}
-        self._ue_ip_counters: dict[str, itertools.count] = {}
         # SEED plugin hooks.
         self.diag_request_hook: Callable[[str, PduSessionEstablishmentRequest], bool] | None = None
         self.reject_hook: Callable[[str, Plane, int, dict], None] | None = None
@@ -105,23 +99,9 @@ class Smf:
     # ------------------------------------------------------------------
     # Establishment
     # ------------------------------------------------------------------
-    def assign_subnet(self, supi: str) -> None:
-        """Give an isolated UE its own address block (idempotent)."""
-        if supi in self._subnets:
-            return
-        index = len(self._subnets)
-        self._subnets[supi] = f"10.{46 + index // 256}.{index % 256}"
-        self._ue_ip_counters[supi] = itertools.count(2)
-
-    def _allocate_ip(self, supi: str) -> str:
-        prefix = self._subnets.get(supi) if self._subnets else None
-        if prefix is None:
-            return f"10.45.0.{next(self._ip_counter) % 250 + 2}"
-        return f"{prefix}.{next(self._ue_ip_counters[supi]) % 250 + 2}"
-
     def _process_establishment(self, supi: str, msg: PduSessionEstablishmentRequest) -> None:
         self.cpu.note_procedure()
-        self.nms.note_core_event(supi=supi)
+        self.nms.note_core_event()
 
         # SEED uplink diagnosis reports ride the DNN field; the plugin
         # consumes them and we answer with a reject-as-ACK (Fig 7b).
@@ -177,8 +157,8 @@ class Smf:
             self.upf.remove_session(supi, msg.pdu_session_id)
             self.gnb.remove_bearer(supi)
             self.engine.note_session_reset(supi)
-        ip_address = self._allocate_ip(supi)
-        dns_server = self.config_store.config_for(supi).active_dns
+        ip_address = f"10.45.0.{next(self._ip_counter) % 250 + 2}"
+        dns_server = self.config_store.config.active_dns
         ctx = SessionContext(
             supi=supi,
             pdu_session_id=msg.pdu_session_id,

@@ -17,7 +17,6 @@ from typing import Callable
 
 from repro.infra.config_store import ConfigStore
 from repro.infra.failures import FailureEngine, FailureMode
-from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 from repro.transport.packets import Direction, Packet, Protocol, Verdict
 from repro.transport.parking import WakeList
@@ -74,7 +73,6 @@ class Upf:
         self.config_store = config_store
         self.sessions: dict[str, dict[int, SessionContext]] = {}
         self.rules: list[BlockRule] = []
-        self.name_table: dict[str, str] = {}
         self.default_address = "203.0.113.10"
         # Positive session_for_ip results, invalidated on any session
         # mutation. Packets outnumber session changes by orders of
@@ -83,12 +81,9 @@ class Upf:
         #: Wakes of parked uplink cadences per SUPI (:meth:`park`), run
         #: on any change that can alter those packets' fate.
         self._wakes = WakeList()
-        # Global clear observers run before the per-subscriber ones, so
-        # a woken cadence is accounted before the meter reads it.
+        # The UPF observes clears before the meter (built later), so a
+        # woken cadence is accounted before the meter reads it.
         engine.on_clear.append(self._on_clear)
-        #: supi -> per-UE RngStreams (``CoreNetwork.ue_rng``); other
-        #: SUPIs draw from sim.rng.
-        self.ue_rng: dict[str, RngStreams] = {}
 
     # ------------------------------------------------------------------
     # Session management (driven by the SMF)
@@ -136,8 +131,7 @@ class Upf:
         if on_response is not None:
             reply = self._service_reply(packet, ctx)
             if reply is not None:
-                rng = self.ue_rng.get(ctx.supi, self.sim.rng)
-                gauss = rng.stream("upf.latency").gauss(
+                gauss = self.sim.rng.stream("upf.latency").gauss(
                     self.ONE_WAY_LATENCY_MEAN, self.ONE_WAY_LATENCY_STDEV
                 )
                 rtt = 2 * (gauss if gauss > 0.002 else 0.002)
@@ -176,11 +170,12 @@ class Upf:
         ctx = self.session_for_ip(src_ip)
         if ctx is None:
             return False
+        supi = ctx.supi
         value = protocol.value
-        for failure in self.engine.scoped_active(ctx.supi):
-            if failure.cleared:
-                continue
+        for failure in self.engine.active:
             spec = failure.spec
+            if spec.supi not in ("", supi):
+                continue
             if spec.mode is FailureMode.BLOCK:
                 holds = (spec.block_protocol in ("", value)
                          and spec.block_direction in ("both", "uplink"))
@@ -189,7 +184,7 @@ class Upf:
                          and protocol is Protocol.DNS and dst_ip == ctx.dns_server
                          and spec.dns_server in ("", ctx.dns_server))
             if holds:
-                self._wakes.add(ctx.supi, wake)
+                self._wakes.add(supi, wake)
                 return True
         return False
 
@@ -265,9 +260,9 @@ class Upf:
             direction_value = "uplink" if uplink else "downlink"
             if policy.blocks(packet.protocol.value, direction_value, port):
                 return True
-        for failure in self.engine.scoped_active(supi):
+        for failure in self.engine.active:
             spec = failure.spec
-            if spec.mode is not FailureMode.BLOCK or failure.cleared:
+            if spec.mode is not FailureMode.BLOCK or spec.supi not in ("", supi):
                 continue
             if spec.block_protocol and spec.block_protocol != packet.protocol.value:
                 continue
@@ -286,8 +281,8 @@ class Upf:
             if self._dns_down(ctx):
                 return None
             qname = packet.payload.get("qname", "")
-            address = self.name_table.get(qname, self.default_address)
-            return packet.reply(qname=qname, address=address, rcode="NOERROR")
+            return packet.reply(qname=qname, address=self.default_address,
+                                rcode="NOERROR")
         if packet.protocol is Protocol.TCP:
             flags = packet.payload.get("flags", "")
             if flags == "SYN":

@@ -115,6 +115,8 @@ def _parse_str_tuple(data: bytes) -> tuple[str, ...]:
     while index < len(data):
         (length,) = unpack_len(data, index)
         index += 2
+        if index + length > len(data):
+            raise CodecError("truncated string in string list")
         values.append(data[index : index + length].decode("utf-8"))
         index += length
     return tuple(values)
@@ -310,7 +312,15 @@ def decode(data: bytes) -> NasMessage:
     decoder = _DECODERS.get(message_type)
     if decoder is None:
         raise CodecError(f"unknown message type 0x{message_type:02x}")
-    return decoder(fields)
+    try:
+        return decoder(fields)
+    except CodecError:
+        raise
+    except (ValueError, IndexError, struct.error) as exc:
+        # A damaged IE value: bad UTF-8, an empty or wrong-length
+        # field, or a value its IE rejects.
+        raise CodecError(
+            f"malformed IE in message type 0x{message_type:02x}: {exc}") from exc
 
 
 def _req(fields: dict[int, bytes], tag: int) -> bytes:

@@ -23,11 +23,10 @@ from repro.core.reset import ResetAction
 from repro.device.android import AndroidTimers
 from repro.device.device import Device
 from repro.device.modem import ModemLatencies
-from repro.infra.core_network import CoreNetwork, ScopedCoreNetwork
+from repro.infra.core_network import CoreNetwork
 from repro.infra.failures import ActiveFailure, FailureClass, FailureSpec
 from repro.nas.timers import DEFAULT_TIMERS, StandardTimers
 from repro.sim_card.profile import SimProfile
-from repro.simkernel.rng import RngStreams
 from repro.simkernel.simulator import Simulator
 from repro.testbed.measurement import DisruptionMeter, Measurement
 from repro.testbed.scenarios import Scenario, ScenarioInstance, mix_for
@@ -86,12 +85,11 @@ class RunResult:
 class Testbed:
     """One device + one core, under a chosen handling mode.
 
-    A facade over a :class:`Cohort` (``self.cohort``) whose one member
+    A facade over a :class:`Cohort` (``self.cohort``) whose simulator
     draws from ``RngStreams(seed)``. Everything per-UE — state (``sim``,
-    ``core``, ``device``, ``deployment``, ``rng``, ``meter``) and
-    actions (``applet``, ``inject``, the triggers,
-    ``learning_records``) — is the member's :class:`UeSlot`, reached
-    through attribute delegation.
+    ``core``, ``device``, ``deployment``, ``meter``) and actions
+    (``applet``, ``inject``, the triggers, ``learning_records``) — is
+    the member's :class:`UeSlot`, reached through attribute delegation.
     """
 
     def __init__(
@@ -216,19 +214,16 @@ class UeSlot:
         self.cohort = cohort
         self.member = member
         self.handling = member.handling
-        self.seed = cohort.seed
-        self.rng = RngStreams(self.seed)
         self.sim = cohort.sim
+        self.core = core = cohort.core
         # The SUPI value never reaches any record or draw.
         profile = SimProfile(imsi="001010000000001",
                              k=SUBSCRIBER_K, opc=SUBSCRIBER_OPC)
         self.supi = f"imsi-{profile.imsi}"
-        core = cohort.core
         core.provision_subscriber(
             self.supi, SUBSCRIBER_K, SUBSCRIBER_OPC,
             subscribed_dnns=("internet", "internet.v2", "ims.carrier", "DIAG"),
         )
-        core.isolate_ue(self.supi, self.rng)
         android_timers = member.android_timers
         if android_timers is None:
             android_timers = AndroidTimers.stock()
@@ -237,7 +232,6 @@ class UeSlot:
             timers=cohort.timers, android_timers=android_timers,
             modem_latencies=cohort.modem_latencies, rooted=member.handling.rooted,
         )
-        self.core = ScopedCoreNetwork(core, self.supi)
         self.meter: DisruptionMeter | None = None
         self.horizon: float | None = None
         self.end: float | None = None
@@ -262,8 +256,8 @@ class UeSlot:
     def learning_records(self) -> dict[str, dict[str, int]]:
         """Wire-form §5.3 learning state accumulated during this run.
 
-        Combines the UE's learner (its crowdsourced ``NetRecord``) with
-        its applet's record-book entries still awaiting OTA upload, so
+        Combines the plugin's learner (its crowdsourced ``NetRecord``)
+        with the applet's record-book entries still awaiting OTA upload, so
         a fleet aggregator merging per-shard states loses nothing to
         upload timing. Empty for legacy runs (no SEED).
         """
@@ -273,7 +267,7 @@ class UeSlot:
         deployment = self.deployment
         if deployment is None:
             return wire
-        merge_records(wire, deployment.plugin.learner_for(self.supi).export_records())
+        merge_records(wire, deployment.plugin.learner.export_records())
         applet = deployment.applets.get(self.supi)
         if applet is not None:
             merge_records(wire, serialize_records(applet.recorder.records))
@@ -375,7 +369,6 @@ class Cohort:
     ) -> None:
         if len(members) != 1:
             raise ValueError(f"a cohort hosts exactly one member, got {len(members)}")
-        self.seed = seed
         self.timers = timers
         self.modem_latencies = modem_latencies
         self.sim = Simulator(seed=seed)

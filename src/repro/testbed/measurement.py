@@ -44,8 +44,7 @@ class ConnectivityOracle:
     """Pure connectivity check for one device."""
 
     def __init__(self, core: CoreNetwork, device: Device) -> None:
-        # Bound once: the meter consults the oracle on every check, and
-        # a harness UE's core is a per-UE facade.
+        # Bound once: the meter consults the oracle on every check.
         self.upf = core.upf
         self.device = device
 
@@ -157,15 +156,15 @@ class DisruptionMeter:
         # with a warm cache, so only its TCP leg makes a stall permanent.
         self._probe_target = ConnectivityTarget(port=device.prober.port)
         self._probe_tcp = ConnectivityTarget(needs_dns=False, port=device.prober.port)
-        # Event wiring (idempotent per meter instance). Clears are
-        # filtered to this device's SUPI, so on a core shared by several
-        # devices another subscriber's clear does not wake this meter
-        # (a harness run sees no difference: every failure there is
-        # unscoped or aimed at its one device).
+        # Event wiring (idempotent per meter instance). Every clear
+        # wakes the meter, unfiltered: a meter's core carries its one
+        # device. The UPF, AMF and SMF observed clears first (they
+        # registered when the core was built), so a woken cadence is
+        # accounted before this meter reads it.
         device.modem.on_registered.append(self._on_event)
         device.modem.on_session_up.append(lambda psi, s: self._on_event())
         device.modem.on_session_modified.append(lambda psi, s: self._on_event())
-        core.engine.on_clear_for(device.supi, lambda failure: self._on_event())
+        core.engine.on_clear.append(lambda failure: self._on_event())
 
     def start(self) -> Measurement:
         """Declare failure onset now."""

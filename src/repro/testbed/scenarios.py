@@ -62,9 +62,9 @@ class Scenario:
 
 def _lognormal(testbed: "UeSlot", stream: str, median: float, sigma: float,
                lo: float, hi: float) -> float:
-    # Drawn from the UE's own stream set (``testbed.rng``), so a draw
-    # depends only on the UE's seed, never on its neighbours.
-    value = testbed.rng.lognormal(stream, math.log(median), sigma)
+    # Drawn from the run's named stream (``testbed.sim.rng``), so a
+    # draw depends only on the run's seed and the stream's name.
+    value = testbed.sim.rng.lognormal(stream, math.log(median), sigma)
     return min(hi, max(lo, value))
 
 

@@ -5,7 +5,13 @@ import copy
 import pytest
 
 from repro.analysis.cdf import percentile
+from repro.core.deploy import deploy_seed
+from repro.device import Device
+from repro.device.android import AndroidTimers
+from repro.infra import CoreNetwork
 from repro.infra.failures import FailureClass
+from repro.sim_card.profile import SimProfile
+from repro.simkernel import Simulator
 from repro.testbed import (
     CONTROL_PLANE_MIX,
     DATA_DELIVERY_MIX,
@@ -14,7 +20,14 @@ from repro.testbed import (
     Testbed,
     scenario_by_name,
 )
-from repro.testbed.harness import coverage, run_suite, timed_durations
+from repro.testbed.harness import (
+    SUBSCRIBER_K,
+    SUBSCRIBER_OPC,
+    WARMUP,
+    coverage,
+    run_suite,
+    timed_durations,
+)
 from repro.testbed.measurement import ConnectivityOracle
 from repro.testbed.scenarios import ConnectivityTarget
 
@@ -54,13 +67,44 @@ class TestFacade:
     def test_everything_per_ue_is_the_one_members(self):
         tb = Testbed(seed=1, handling=HandlingMode.SEED_R)
         [slot] = tb.cohort.slots
-        assert slot.seed == 1
-        for name in ("sim", "core", "device", "deployment", "rng", "applet"):
+        assert tb.sim.rng.master_seed == 1
+        for name in ("sim", "core", "device", "deployment", "applet"):
             assert getattr(tb, name) is getattr(slot, name), name
         assert tb.inject == slot.inject
         # copy builds a bare instance first and probes it for hooks:
         # the probe must fail cleanly, not recurse through the slot.
         assert copy.copy(tb).device is tb.device
+
+
+class TestPlainCore:
+    """A harness UE is the one device on a plain core: the testbed puts
+    nothing of its own between the UE and the network."""
+
+    @pytest.mark.parametrize("handling", list(HandlingMode), ids=lambda h: h.value)
+    def test_warm_testbed_matches_a_directly_built_core(self, handling):
+        tb = Testbed(seed=7, handling=handling)
+        tb.warm_up()
+
+        sim = Simulator(seed=7)
+        core = CoreNetwork(sim)
+        profile = SimProfile(imsi="001010000000001", k=SUBSCRIBER_K, opc=SUBSCRIBER_OPC)
+        core.provision_subscriber(
+            f"imsi-{profile.imsi}", SUBSCRIBER_K, SUBSCRIBER_OPC,
+            subscribed_dnns=("internet", "internet.v2", "ims.carrier", "DIAG"),
+        )
+        device = Device(sim, core.gnb, core.upf, profile,
+                        android_timers=AndroidTimers.stock(), rooted=handling.rooted)
+        if handling.uses_seed:
+            deploy_seed(core, [device])
+            device.android.auto_recover = False
+        device.power_on()
+        sim.run(until=WARMUP)
+
+        ours, direct = tb.device.default_session(), device.default_session()
+        assert (ours.ip_address, ours.dns_server, ours.dnn) == (
+            direct.ip_address, direct.dns_server, direct.dnn)
+        assert ours.ip_address.startswith("10.45.0.")
+        assert (tb.sim.now, tb.sim.fired_events) == (sim.now, sim.fired_events)
 
 
 SCENARIO_EXPECTATIONS = [
